@@ -1,11 +1,12 @@
 """Live sys.setprofile profiler on real Python code."""
 
+import sys
 import time
 
 import pytest
 
 from repro.gprof.flatprofile import FlatProfile
-from repro.profiler.tracing import TracingProfiler, module_filter, names_filter
+from repro.profiler.tracing import TracingProfiler, names_filter
 from repro.util.errors import CollectorError
 
 
@@ -97,12 +98,50 @@ def test_snapshot_feeds_flat_profile():
     assert "busy" in text
 
 
-def test_module_filter():
-    accept = module_filter("hot_", "cold_")
-    assert accept("hot_function")
-    assert not accept("caller")
-
-
 def test_names_filter():
     accept = names_filter(["a", "b"])
     assert accept("a") and not accept("c")
+
+
+# ----------------------------------------------------------------------
+# lifecycle: the profiler never profiles itself or removes another
+# tool's hook
+# ----------------------------------------------------------------------
+def test_restart_begins_at_the_root():
+    profiler = TracingProfiler(sample_period=0.001)
+    with profiler:
+        caller()
+    profiler.reset()
+    profiler.start()
+    busy(0.002)
+    profiler.stop()
+    assert profiler.snapshot().arcs == {("<spontaneous>", "busy"): 1}
+
+
+def test_own_frames_stay_out_of_the_profile():
+    profiler = TracingProfiler(sample_period=0.001)
+    profiler.start()
+    busy(0.01)
+    mid = profiler.snapshot()
+    profiler.reset()
+    busy(0.01)
+    profiler.stop()
+    for snap in (mid, profiler.snapshot()):
+        assert set(snap.hist) == {"busy"}
+        assert snap.arcs == {("<spontaneous>", "busy"): 1}
+
+
+@pytest.mark.parametrize("started", [False, True])
+def test_stop_leaves_another_tools_hook_in_place(started):
+    def other_hook(frame, event, arg):
+        pass
+
+    profiler = TracingProfiler()
+    if started:
+        profiler.start()
+    sys.setprofile(other_hook)
+    try:
+        profiler.stop()
+        assert sys.getprofile() is other_hook
+    finally:
+        sys.setprofile(None)

@@ -1,13 +1,18 @@
-"""The incremental streaming analysis engine.
+"""The incremental streaming analysis engine and its live phase model.
 
 The paper's pitch is *incremental* profiling, and this module makes the
 analysis side live up to it: an :class:`IncrementalAnalyzer` accepts
 cumulative gmon snapshots **one at a time**, appends one interval row
 per snapshot via incremental differencing (no O(n^2) re-diff of the
-whole series), and maintains a live phase model between full fits —
-nearest-centroid assignment, mini-batch centroid refinement, and a
-drift detector that triggers a *bounded* re-sweep (k-1..k+1) only when
-the stream stops looking like the model.
+whole series), and maintains a live phase model between full fits.
+
+That live model is :class:`LiveModel`, the one engine behind every
+streaming path: the analyzer here and the daemon's per-stream
+:class:`~repro.core.online.OnlinePhaseTracker` both wrap it.  It labels
+each interval as if it arrived alone — nearest-centroid assignment, a
+novelty gate, mini-batch centroid refinement, and a drift detector that
+triggers a *bounded* re-sweep (k-1..k+1) only when the stream stops
+looking like the model.
 
 Batch analysis is the degenerate case: feed every snapshot, then
 :meth:`IncrementalAnalyzer.finalize`, which assembles the accumulated
@@ -20,15 +25,15 @@ Label stability across refits comes from greedy centroid matching
 (:func:`match_phase_labels`): each refit's clusters inherit the stable
 id of the nearest old centroid, unmatched clusters get fresh ids, and
 ids are never reused — so phase 2 before a refit and phase 2 after it
-mean the same behaviour.  The same helpers drive the online tracker's
-live refits (see :class:`~repro.core.online.OnlinePhaseTracker`).
+mean the same behaviour.
 """
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,8 +50,7 @@ from repro.core.pipeline import AnalysisConfig, AnalysisResult, analyze_interval
 from repro.gprof.gmon import GmonData
 from repro.util.errors import ProfileDataError, ValidationError
 
-#: Live-assignment label for intervals outside every phase's gate
-#: (same value as :data:`repro.core.online.NOVEL`).
+#: Phase label reported for intervals outside every phase's gate.
 NOVEL = -1
 
 #: Absolute floor on novelty gates, matching the online tracker: a
@@ -244,7 +248,7 @@ class DriftDetector:
 class RefitEvent:
     """One live model refit (bootstrap, drift-triggered, or forced)."""
 
-    #: Interval index at which the refit fired.
+    #: The first interval the new model classifies.
     interval_index: int
     #: The model version the refit produced (monotonically increasing).
     version: int
@@ -312,7 +316,7 @@ def bounded_resweep(
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Online-refit policy for a live tracker (``incprofd`` per-stream).
+    """Refit policy of a :class:`LiveModel` (``incprofd`` per-stream).
 
     ``cooldown_s`` is the wall-clock floor between refits (the server's
     ``--refit-interval``); ``drift.novel_rate`` is the drift threshold
@@ -341,6 +345,230 @@ class AdaptiveConfig:
             raise ValidationError("kmax and n_init must be positive")
         if not 0 < self.quantile <= 1 or self.slack <= 0:
             raise ValidationError("quantile in (0,1], slack > 0 required")
+
+
+# ----------------------------------------------------------------------
+# the live model
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class TrackedInterval:
+    """One classified interval."""
+
+    index: int
+    phase_id: int  # NOVEL (-1) when outside every phase's gate
+    distance: float
+    nearest_phase: int
+    #: Version of the model that classified this interval (0 for the
+    #: original offline fit; bumped by every refit / installed model).
+    model_version: int = 0
+
+    @property
+    def is_novel(self) -> bool:
+        return self.phase_id == NOVEL
+
+
+def nearest_centroids(mat: np.ndarray, centroids: np.ndarray,
+                      gates: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of ``mat``: nearest centroid row, its distance, and
+    whether that distance falls outside the centroid's gate."""
+    dists = np.linalg.norm(mat[:, None, :] - centroids[None, :, :], axis=2)
+    nearest = dists.argmin(axis=1)
+    distance = dists[np.arange(mat.shape[0]), nearest]
+    return nearest, distance, distance > gates[nearest]
+
+
+class LiveModel:
+    """The live phase model every streaming path runs.
+
+    Owns the centroids, novelty gates, stable labels, member counts and
+    version, and — with ``adaptive`` set — the drift detector, the refit
+    window and the refit events.  :meth:`classify` works one interval at
+    a time, so a label never depends on how rows were split into
+    batches.  A refit trains on the last ``adaptive.window`` rows, seeds
+    its re-sweep with ``SeedSequence([seed & 0xFFFFFFFF, version + 1])``,
+    and its :class:`RefitEvent` names the first interval the new model
+    classifies; each row's ``model_version`` is the version that
+    classified it.  Lock-free: the tracker wraps it in its lock.
+    """
+
+    def __init__(self, centroids: np.ndarray, gates: np.ndarray, *,
+                 labels: Optional[Sequence[int]] = None,
+                 counts: Optional[Sequence[float]] = None, version: int = 0,
+                 adaptive: Optional[AdaptiveConfig] = None,
+                 clock: Callable[[], float] = time.monotonic) -> None:
+        self.adaptive = adaptive
+        self.clock = clock
+        self.window: Deque[np.ndarray] = deque(
+            maxlen=adaptive.window if adaptive else 1)
+        self.drift = DriftDetector(adaptive.drift) if adaptive else None
+        self.last_refit_index = 0
+        self.last_refit_time: Optional[float] = None
+        self.events: List[RefitEvent] = []
+        self.next_label = 0
+        self.replace(centroids, gates, labels=labels, counts=counts,
+                     version=version)
+
+    def replace(self, centroids: np.ndarray, gates: np.ndarray, *,
+                labels: Optional[Sequence[int]] = None,
+                counts: Optional[Sequence[float]] = None, version: int) -> None:
+        """Install a model trained elsewhere (arrays are copied; labels
+        default to row order, counts to one).  The drift window restarts
+        without a baseline; refit window, events and cooldowns carry on."""
+        centroids = np.array(centroids, dtype=float)
+        gates = np.array(gates, dtype=float)
+        if centroids.ndim != 2 or centroids.shape[0] != gates.shape[0]:
+            raise ValidationError("centroids and gates disagree")
+        k = centroids.shape[0]
+        labels = (np.arange(k) if labels is None
+                  else np.asarray([int(x) for x in labels], dtype=int))
+        counts = (np.ones(k) if counts is None
+                  else np.asarray([float(c) for c in counts]))
+        if labels.shape[0] != k:
+            raise ValidationError("labels must cover every centroid row")
+        if counts.shape[0] != k:
+            raise ValidationError("counts must cover every centroid row")
+        self.centroids, self.gates = centroids, gates
+        self.labels, self.counts = labels, counts
+        self.version = int(version)
+        if k:
+            self.next_label = max(self.next_label, int(labels.max()) + 1)
+        if self.drift is not None:
+            self.drift.reset(None)
+
+    def widen(self, width: int) -> None:
+        """Zero columns for functions that appeared after the fit: they
+        never ran during training, so distances stay meaningful."""
+        pad = width - self.centroids.shape[1]
+        if pad > 0:
+            self.centroids = np.pad(self.centroids, ((0, 0), (0, pad)))
+
+    # ------------------------------------------------------------------
+    def _interval(self, index: int, row: int, distance: float,
+                  novel: bool) -> TrackedInterval:
+        label = int(self.labels[row])
+        return TrackedInterval(
+            index=index, phase_id=NOVEL if novel else label,
+            distance=float(distance), nearest_phase=label,
+            model_version=self.version)
+
+    def tracked(self, start: int, nearest: np.ndarray, distance: np.ndarray,
+                novel: np.ndarray) -> List[TrackedInterval]:
+        """Intervals ``start, start + 1, ...`` from a vectorized pass
+        (:func:`nearest_centroids`) against this model."""
+        return [self._interval(start + i, nearest[i], distance[i], novel[i])
+                for i in range(len(distance))]
+
+    def classify(self, mat: np.ndarray, start: int,
+                 on_refit: Optional[Callable[[RefitEvent], None]] = None,
+                 ) -> List[TrackedInterval]:
+        """Classify the rows of ``mat`` as intervals ``start``, ``start+1``, ...
+
+        Each row gets its nearest centroid and is novel outside that
+        centroid's gate.  An adaptive model then takes the row in — a
+        mini-batch update of the centroid (rate 1/count) unless novel,
+        the refit window, the drift detector — and checks for a refit.
+        A refit that fires mid-batch is installed at once, ``on_refit``
+        hears of it, and the rest of the batch classifies under it.
+        """
+        if self.adaptive is None:
+            # A frozen model never moves: one vectorized pass gives
+            # exactly the per-row answers.
+            return self.tracked(
+                start, *nearest_centroids(mat, self.centroids, self.gates))
+        out: List[TrackedInterval] = []
+        for i, x in enumerate(mat):
+            dists = np.linalg.norm(self.centroids - x, axis=1)
+            j = int(dists.argmin())
+            distance = float(dists[j])
+            novel = bool(distance > self.gates[j])
+            out.append(self._interval(start + i, j, distance, novel))
+            self.window.append(x.copy())
+            if not novel:
+                self.counts[j] += 1.0
+                self.centroids[j] += (x - self.centroids[j]) / self.counts[j]
+            self.drift.observe(novel, distance * distance)
+            event = self.refit(start + i + 1)
+            if event is not None and on_refit is not None:
+                on_refit(event)
+        return out
+
+    # ------------------------------------------------------------------
+    def refit(self, seen: int,
+              reason: Optional[str] = None) -> Optional[RefitEvent]:
+        """Refit from the window when drift calls for it, or now when a
+        ``reason`` is given; ``seen`` (intervals classified so far) is
+        the first interval the new model classifies.  Drift refits wait
+        out both cooldowns; any refit needs ``min_refit_window`` rows."""
+        ad = self.adaptive
+        if ad is None or len(self.window) < ad.min_refit_window:
+            return None
+        if reason is None:
+            if seen - self.last_refit_index < ad.cooldown_intervals:
+                return None
+            if (self.last_refit_time is not None
+                    and self.clock() - self.last_refit_time < ad.cooldown_s):
+                return None
+            reason = self.drift.check()
+            if reason is None:
+                return None
+        # Rows from before the function universe grew are zero-padded.
+        features = np.zeros((len(self.window), self.centroids.shape[1]))
+        for i, row in enumerate(self.window):
+            features[i, :row.shape[0]] = row
+        fit = bounded_resweep(
+            features, len(self.centroids), kmax=ad.kmax,
+            seed=np.random.SeedSequence(
+                [ad.seed & 0xFFFFFFFF, self.version + 1]),
+            n_init=ad.n_init)
+        return self.install_fit(fit, features, reason, seen)
+
+    def install_fit(self, fit: KMeansResult, features: np.ndarray,
+                    reason: str, index: int) -> RefitEvent:
+        """Swap in ``fit`` (of ``features``) as the next version, first
+        classifying interval ``index``: stable ids by centroid matching,
+        gates calibrated on ``features``, drift baseline its inertia."""
+        ad = self.adaptive
+        labels, self.next_label = match_phase_labels(
+            self.centroids, self.labels, fit.centroids, self.next_label,
+            max_distance=self.gates * MATCH_RADIUS_FACTOR)
+        event = RefitEvent(
+            interval_index=index, version=self.version + 1,
+            old_k=len(self.centroids), new_k=fit.k, reason=reason,
+            label_map=tuple(int(x) for x in labels))
+        self.centroids = np.asarray(fit.centroids, dtype=float).copy()
+        self.gates = calibrate_gates(features, fit.labels, fit.centroids,
+                                     ad.quantile, ad.slack)
+        self.labels = labels
+        self.counts = np.bincount(fit.labels, minlength=fit.k).astype(float)
+        self.version = event.version
+        self.last_refit_index = index
+        self.last_refit_time = self.clock()
+        self.drift.reset(fit.inertia / max(1, features.shape[0]))
+        self.events.append(event)
+        return event
+
+    # -- checkpoint support -------------------------------------------
+    def refit_state(self) -> Dict[str, Any]:
+        """The refit machinery, JSON-ready (adaptive models only)."""
+        return {
+            "buffer": [[float(x) for x in row] for row in self.window],
+            "drift": self.drift.state(),
+            "next_label": int(self.next_label),
+            "last_refit_index": int(self.last_refit_index),
+            "events": [e.to_obj() for e in self.events],
+        }
+
+    def restore_refit_state(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`refit_state`."""
+        self.window.clear()
+        self.window.extend(np.asarray(row, dtype=float)
+                           for row in state.get("buffer", []))
+        self.drift.restore(state.get("drift", {}))
+        self.next_label = max(self.next_label, int(state.get("next_label", 0)))
+        self.last_refit_index = int(state.get("last_refit_index", 0))
+        self.last_refit_time = None  # wall clock doesn't survive restarts
+        self.events = [RefitEvent.from_obj(obj)
+                       for obj in state.get("events", [])]
 
 
 # ----------------------------------------------------------------------
@@ -398,6 +626,8 @@ class IncrementalUpdate:
     distance: Optional[float]
     novel: bool
     model_version: int
+    #: The refit this observation triggered: a bootstrap classifies this
+    #: interval, a drift refit starts at the next.
     refit: Optional[RefitEvent] = None
 
 
@@ -407,12 +637,12 @@ class IncrementalAnalyzer:
     :meth:`observe` ingests a cumulative snapshot: the interval delta is
     computed against the previous snapshot only (O(functions), not O(n)),
     appended to growing tick/arc matrices, and — with ``track=True`` —
-    classified against the live model, whose centroids are refined by
-    mini-batch k-means updates and re-swept (k-1..k+1) when the drift
-    detector fires.  :meth:`finalize` assembles the accumulated deltas
-    through the same helper as the batch path and runs the full pipeline,
-    so it returns exactly what ``analyze_snapshots`` on the same series
-    would.
+    classified by a :class:`LiveModel`, bootstrapped by a full k sweep
+    after ``warmup`` intervals.  Its refits never wait on the wall clock
+    and take ``kmax``/``n_init``/``seed`` from the analysis config; new
+    functions widen the model with zero columns.  :meth:`finalize` runs
+    the batch pipeline on the accumulated deltas, so it returns exactly
+    what ``analyze_snapshots`` on the same series would.
 
     Not thread-safe: one engine serves one snapshot stream (the service
     wraps per-stream trackers in locks instead).
@@ -436,10 +666,11 @@ class IncrementalAnalyzer:
         self.config = config
         self.track = track
         self.warmup = warmup
-        self.quantile = quantile
-        self.slack = slack
-        self.refit_cooldown = refit_cooldown
-        self._detector = DriftDetector(drift or DriftConfig())
+        self._adaptive = AdaptiveConfig(
+            min_refit_window=2, drift=drift or DriftConfig(),
+            cooldown_s=0.0, cooldown_intervals=refit_cooldown,
+            kmax=config.kmax, n_init=config.n_init,
+            quantile=quantile, slack=slack, seed=config.seed)
         # -- accumulated interval data --------------------------------
         self._funcs: List[str] = []
         self._func_col: Dict[str, int] = {}
@@ -452,16 +683,9 @@ class IncrementalAnalyzer:
         self._metas: List[Tuple[float, float, int]] = []
         self._prev_hist: Dict[str, int] = {}
         self._prev_arcs: Dict[Tuple[str, str], int] = {}
-        # -- live model ------------------------------------------------
-        self.model_version = 0
-        self._centroids: Optional[np.ndarray] = None
-        self._gates: Optional[np.ndarray] = None
-        self._labels: Optional[np.ndarray] = None  # row -> stable phase id
-        self._counts: Optional[np.ndarray] = None
-        self._next_label = 0
-        self._last_fit_at = -1
+        # -- live model (None until the warmup bootstrap) ---------------
+        self._model: Optional[LiveModel] = None
         self.updates: List[IncrementalUpdate] = []
-        self.refits: List[RefitEvent] = []
 
     # ------------------------------------------------------------------
     @property
@@ -474,7 +698,21 @@ class IncrementalAnalyzer:
 
     @property
     def current_k(self) -> int:
-        return 0 if self._centroids is None else int(self._centroids.shape[0])
+        return 0 if self._model is None else len(self._model.centroids)
+
+    @property
+    def model_version(self) -> int:
+        return 0 if self._model is None else self._model.version
+
+    @property
+    def centroids(self) -> Optional[np.ndarray]:
+        """The live model's centroids (None before the bootstrap fit)."""
+        return None if self._model is None else self._model.centroids
+
+    @property
+    def refits(self) -> List[RefitEvent]:
+        """Every live-model fit so far, bootstrap first."""
+        return [] if self._model is None else self._model.events
 
     def phase_sequence(self) -> List[Optional[int]]:
         """Live phase id per observed interval (None during warmup)."""
@@ -488,12 +726,6 @@ class IncrementalAnalyzer:
         self._funcs.append(func)
         self._func_col[func] = col
         self._ticks.ensure_cols(col + 1)
-        if self._centroids is not None and self._centroids.shape[1] < col + 1:
-            # The live model predates this function: a zero coordinate
-            # (the function never ran during training) keeps distances
-            # meaningful as the vocabulary grows.
-            pad = col + 1 - self._centroids.shape[1]
-            self._centroids = np.pad(self._centroids, ((0, 0), (0, pad)))
         return col
 
     def _add_arc(self, arc: Tuple[str, str]) -> int:
@@ -542,12 +774,13 @@ class IncrementalAnalyzer:
         self._metas.append((period, timestamp, snapshot.rank))
 
         index = self._ticks.rows - 1
-        if self.track:
-            update = self._track_row(index, timestamp, period)
-        else:
+        if self.track and (self._model is not None or index + 1 >= self.warmup):
+            update = self._track_row(index, timestamp,
+                                     self._ticks.row(index) * period)
+        else:  # warming up, or not tracking
             update = IncrementalUpdate(
                 index=index, timestamp=timestamp, phase_id=None,
-                distance=None, novel=False, model_version=self.model_version)
+                distance=None, novel=False, model_version=0)
         self.updates.append(update)
         return update
 
@@ -555,94 +788,44 @@ class IncrementalAnalyzer:
         return [self.observe(snap) for snap in snapshots]
 
     # ------------------------------------------------------------------
-    # live model maintenance
+    # live model
     # ------------------------------------------------------------------
-    def _all_features(self) -> np.ndarray:
-        """Self-time feature matrix over everything observed so far."""
-        return self._ticks.view() * np.asarray(self._periods)[:, None]
-
-    def _install_fit(self, index: int, fit: KMeansResult, reason: str,
-                     features: np.ndarray) -> RefitEvent:
-        old_k = self.current_k
-        if self._centroids is None:
-            labels = np.arange(fit.k)
-            self._next_label = fit.k
-        else:
-            labels, self._next_label = match_phase_labels(
-                self._centroids, self._labels, fit.centroids, self._next_label,
-                max_distance=self._gates * MATCH_RADIUS_FACTOR)
-        self._centroids = np.asarray(fit.centroids, dtype=float).copy()
-        self._gates = calibrate_gates(features, fit.labels, fit.centroids,
-                                      self.quantile, self.slack)
-        self._labels = labels
-        self._counts = np.bincount(fit.labels, minlength=fit.k).astype(float)
-        self.model_version += 1
-        self._last_fit_at = index
-        baseline = fit.inertia / max(1, features.shape[0])
-        self._detector.reset(baseline)
-        event = RefitEvent(
-            interval_index=index, version=self.model_version,
-            old_k=old_k, new_k=fit.k, reason=reason,
-            label_map=tuple(int(x) for x in labels))
-        self.refits.append(event)
-        return event
-
-    def _bootstrap(self, index: int, features: np.ndarray) -> RefitEvent:
-        """First fit: the full k sweep, clusters ordered like the batch
-        pipeline (size descending, first appearance) so early live ids
-        line up with what a batch analysis of the prefix would report."""
+    def _bootstrap(self, index: int) -> None:
+        """First fit: the full k sweep over every interval so far,
+        clusters ordered like the batch pipeline (size descending, first
+        appearance) so early live ids line up with what a batch analysis
+        of the prefix would report.  It classifies interval ``index``."""
+        features = self._ticks.view() * np.asarray(self._periods)[:, None]
         cfg = self.config
         selection = choose_k(
             features, kmax=min(cfg.kmax, features.shape[0]),
             method=cfg.kselect_method, seed=cfg.seed, n_init=cfg.n_init,
             threshold=cfg.kselect_threshold)
         best = selection.best
-        model = phases_from_labels(best.labels, best.centroids, selection)
-        centroids = np.vstack([p.centroid for p in model.phases])
+        phases = phases_from_labels(best.labels, best.centroids, selection)
         ordered = KMeansResult(
-            k=model.n_phases, centroids=centroids, labels=model.labels,
-            inertia=best.inertia, n_iter=best.n_iter)
-        return self._install_fit(index, ordered, "bootstrap", features)
+            k=phases.n_phases,
+            centroids=np.vstack([p.centroid for p in phases.phases]),
+            labels=phases.labels, inertia=best.inertia, n_iter=best.n_iter)
+        model = LiveModel(np.zeros((0, features.shape[1])), np.zeros(0),
+                          adaptive=self._adaptive)
+        model.window.extend(features[:-1])  # row ``index`` joins as it classifies
+        model.install_fit(ordered, features, "bootstrap", index)
+        self._model = model
 
     def _track_row(self, index: int, timestamp: float,
-                   period: float) -> IncrementalUpdate:
-        refit: Optional[RefitEvent] = None
-        if self._centroids is None:
-            if index + 1 < max(self.warmup, 2):
-                return IncrementalUpdate(
-                    index=index, timestamp=timestamp, phase_id=None,
-                    distance=None, novel=False, model_version=0)
-            refit = self._bootstrap(index, self._all_features())
-
-        x = self._ticks.row(index) * period
-        dists = np.linalg.norm(self._centroids - x[None, :], axis=1)
-        nearest = int(dists.argmin())
-        distance = float(dists[nearest])
-        novel = distance > self._gates[nearest]
-        phase_id = NOVEL if novel else int(self._labels[nearest])
-        if not novel:
-            # Mini-batch k-means update: the centroid tracks the running
-            # mean of everything assigned to it (learning rate 1/count).
-            self._counts[nearest] += 1.0
-            self._centroids[nearest] += (
-                (x - self._centroids[nearest]) / self._counts[nearest])
-        self._detector.observe(novel, distance * distance)
-
-        if refit is None and index - self._last_fit_at >= self.refit_cooldown:
-            reason = self._detector.check()
-            if reason is not None:
-                features = self._all_features()
-                fit = bounded_resweep(
-                    features, self.current_k, kmax=self.config.kmax,
-                    seed=np.random.SeedSequence(
-                        [self.config.seed & 0xFFFFFFFF, self.model_version]),
-                    n_init=self.config.n_init)
-                refit = self._install_fit(index, fit, reason, features)
-
+                   x: np.ndarray) -> IncrementalUpdate:
+        n_events = len(self.refits)
+        if self._model is None:
+            self._bootstrap(index)
+        self._model.widen(x.shape[0])
+        (tracked,) = self._model.classify(x[None, :], index)
+        new_events = self._model.events[n_events:]
         return IncrementalUpdate(
-            index=index, timestamp=timestamp, phase_id=phase_id,
-            distance=distance, novel=novel,
-            model_version=self.model_version, refit=refit)
+            index=index, timestamp=timestamp, phase_id=tracked.phase_id,
+            distance=tracked.distance, novel=tracked.is_novel,
+            model_version=tracked.model_version,
+            refit=new_events[-1] if new_events else None)
 
     # ------------------------------------------------------------------
     # finalize (the batch-equivalent result)

@@ -12,15 +12,17 @@ The gate is calibrated from the training data itself: an interval is
 *novel* when its distance to the nearest centroid exceeds that phase's
 ``quantile`` training distance by ``slack``.
 
-Trackers are no longer frozen: constructed with an
-:class:`~repro.core.incremental.AdaptiveConfig`, a tracker buffers the
-interval profiles it classifies, refines centroids with mini-batch
-k-means updates, and — when the shared drift detector fires — refits
-itself with a bounded re-sweep (k-1..k+1) and **hot-swaps** the new
-model atomically under its lock.  Every refit bumps ``model_version``
-(carried on each :class:`TrackedInterval`) and remaps cluster rows onto
-*stable* phase ids via greedy centroid matching, so phase 2 before the
-swap and phase 2 after it mean the same behaviour.
+The model itself is a :class:`~repro.core.incremental.LiveModel`, the
+engine the streaming analyzer runs too; the tracker adds a lock, a fixed
+function universe, snapshot differencing, the per-stream history and
+checkpoint state.  Constructed with an
+:class:`~repro.core.incremental.AdaptiveConfig`, the model refines its
+centroids with mini-batch k-means updates and — when the drift detector
+fires — refits itself with a bounded re-sweep (k-1..k+1), **hot-swapping**
+the new model before the next interval.  Every refit bumps
+``model_version`` (carried on each :class:`TrackedInterval`) and remaps
+cluster rows onto *stable* phase ids via greedy centroid matching, so
+phase 2 before the swap and phase 2 after it mean the same behaviour.
 """
 
 from __future__ import annotations
@@ -28,20 +30,18 @@ from __future__ import annotations
 import base64
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.incremental import (
-    MATCH_RADIUS_FACTOR,
+    NOVEL,  # re-exported: the tracker's label for novel intervals
     AdaptiveConfig,
-    DriftDetector,
+    LiveModel,
     RefitEvent,
-    bounded_resweep,
+    TrackedInterval,
     calibrate_gates,
-    match_phase_labels,
+    nearest_centroids,
 )
 from repro.core.pipeline import AnalysisResult
 from repro.gprof.gmon import GmonData, dumps_gmon, loads_gmon
@@ -52,26 +52,6 @@ from repro.util.errors import ValidationError
 #: vector (see :meth:`OnlinePhaseTracker.delta_vector`).
 Profile = Union[Dict[str, float], np.ndarray]
 
-#: Phase label reported for intervals unlike any training phase.
-NOVEL = -1
-
-
-@dataclass(frozen=True)
-class TrackedInterval:
-    """One classified deployment interval."""
-
-    index: int
-    phase_id: int  # NOVEL (-1) when outside every phase's gate
-    distance: float
-    nearest_phase: int
-    #: Version of the model that produced this classification (0 for the
-    #: original offline fit; bumped by every live refit / installed model).
-    model_version: int = 0
-
-    @property
-    def is_novel(self) -> bool:
-        return self.phase_id == NOVEL
-
 
 class OnlinePhaseTracker:
     """Classify streaming interval profiles against trained phases.
@@ -80,8 +60,8 @@ class OnlinePhaseTracker:
     every history accessor take an internal lock, so one tracker can be
     driven from a worker pool (the ``incprofd`` service classifies each
     stream on whichever worker picks it up).  Model hot-swaps (live
-    refits, :meth:`install_model`) happen under the same lock, so a
-    classification sees either the old model or the new one, never a
+    refits, :meth:`install_model`) happen under the same lock, so an
+    interval is classified by the old model or the new one, never a
     half-installed mix.
 
     ``zero_start`` controls how the first *cumulative* snapshot fed to
@@ -110,47 +90,49 @@ class OnlinePhaseTracker:
         adaptive: Optional[AdaptiveConfig] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if centroids.ndim != 2 or centroids.shape[0] != gates.shape[0]:
-            raise ValidationError("centroids and gates disagree")
-        if centroids.shape[1] != len(functions):
-            raise ValidationError("centroid width must match function count")
-        if labels is not None and len(labels) != centroids.shape[0]:
-            raise ValidationError("labels must cover every centroid row")
         self.functions = list(functions)
+        self._check_width(centroids)
+        self._model = LiveModel(centroids, gates, labels=labels,
+                                counts=counts, version=version,
+                                adaptive=adaptive, clock=clock)
         self._index = {name: j for j, name in enumerate(self.functions)}
-        self.centroids = centroids.astype(float)
-        self.gates = gates.astype(float)
         self.interval = interval
         self.zero_start = zero_start
         self.history: List[TrackedInterval] = []
         self._previous: Optional[GmonData] = None
-        #: Universe-projected ticks of ``_previous`` — a pure cache for
-        #: :meth:`delta_vector`.  ``_previous`` stays the checkpointed
-        #: source of truth; any path that replaces it without refreshing
-        #: the projection must reset this to ``None``.
+        #: Universe-projected ticks of ``_previous``; ``_previous`` stays
+        #: the checkpointed source of truth, and every path that replaces
+        #: it must set this too.
         self._previous_vec: Optional[np.ndarray] = None
         self._lock = threading.RLock()
-        # -- versioned model identity ----------------------------------
-        k = self.centroids.shape[0]
-        self.phase_labels = (np.arange(k) if labels is None
-                             else np.asarray([int(x) for x in labels]))
-        self.model_version = int(version)
-        self._counts = (np.ones(k) if counts is None
-                        else np.asarray([float(c) for c in counts]))
-        if self._counts.shape[0] != k:
-            raise ValidationError("counts must cover every centroid row")
-        self._next_label = int(self.phase_labels.max()) + 1 if k else 0
-        # -- adaptive refit state --------------------------------------
-        self._adaptive = adaptive
-        self._clock = clock
-        self._buffer: Deque[np.ndarray] = deque(
-            maxlen=adaptive.window if adaptive else 1)
-        self._drift = DriftDetector(adaptive.drift) if adaptive else None
-        self._last_refit_index = 0
-        self._last_refit_time: Optional[float] = None
-        self.refit_events: List[RefitEvent] = []
         self._refit_listeners: List[
             Callable[["OnlinePhaseTracker", RefitEvent], None]] = []
+
+    def _check_width(self, centroids: np.ndarray) -> None:
+        if np.ndim(centroids) == 2 and np.shape(centroids)[1] != len(self.functions):
+            raise ValidationError("centroid width must match function count")
+
+    # -- the live model, read through (live arrays, not copies) --------
+    @property
+    def centroids(self) -> np.ndarray:
+        return self._model.centroids
+
+    @property
+    def gates(self) -> np.ndarray:
+        return self._model.gates
+
+    @property
+    def phase_labels(self) -> np.ndarray:
+        """Stable phase id of each centroid row."""
+        return self._model.labels
+
+    @property
+    def model_version(self) -> int:
+        return self._model.version
+
+    @property
+    def refit_events(self) -> List[RefitEvent]:
+        return self._model.events
 
     # ------------------------------------------------------------------
     # training
@@ -193,24 +175,25 @@ class OnlinePhaseTracker:
     # ------------------------------------------------------------------
     # streaming classification
     # ------------------------------------------------------------------
-    def _vectorize_batch(self, profiles: Sequence[Profile]) -> np.ndarray:
-        """``(n_profiles, n_functions)`` matrix via the name->column index.
-
-        A profile is either a function -> self-seconds dict or an
-        already-projected ``(n_functions,)`` vector from
-        :meth:`delta_vector`; vector rows copy straight in.
-        """
-        mat = np.zeros((len(profiles), len(self.functions)))
+    def _project(self, values: Dict[str, float], row: np.ndarray) -> np.ndarray:
+        """Write ``values`` into ``row`` by the universe's columns;
+        functions outside the universe are ignored."""
         index = self._index
+        for func, value in values.items():
+            j = index.get(func)
+            if j is not None:
+                row[j] = value
+        return row
+
+    def _vectorize_batch(self, profiles: Sequence[Profile]) -> np.ndarray:
+        """``(n_profiles, n_functions)`` matrix of dict profiles and of
+        vectors already projected by :meth:`delta_vector`."""
+        mat = np.zeros((len(profiles), len(self.functions)))
         for i, profile in enumerate(profiles):
             if isinstance(profile, np.ndarray):
                 mat[i] = profile
-                continue
-            row = mat[i]
-            for func, seconds in profile.items():
-                j = index.get(func)
-                if j is not None:
-                    row[j] = seconds
+            else:
+                self._project(profile, mat[i])
         return mat
 
     def classify(self, profile: Profile) -> TrackedInterval:
@@ -220,97 +203,33 @@ class OnlinePhaseTracker:
     def classify_batch(self, profiles: Sequence[Profile]) -> List[TrackedInterval]:
         """Classify several interval profiles in order, atomically.
 
-        All distances come from one ``(n_profiles, k, d)`` vectorized
-        computation — the service hot path calls this once per drained
-        batch instead of once per snapshot.  The whole batch runs under
-        the tracker lock: a concurrent classifier cannot interleave
-        inside it, and a model hot-swap cannot land mid-batch — every
-        interval in the batch is classified by one model version.
+        The result equals classifying the profiles one at a time, for
+        any split into batches (see
+        :meth:`~repro.core.incremental.LiveModel.classify`): a frozen
+        model labels the batch in one vectorized pass; an adaptive one
+        goes row by row, and a refit that fires mid-batch is installed —
+        and its listeners called — before the next row.  The whole batch
+        runs under the tracker lock, so a concurrent classifier cannot
+        interleave inside it.
         """
         if not profiles:
             return []
         with self._lock:
-            mat = self._vectorize_batch(profiles)
-            diffs = mat[:, None, :] - self.centroids[None, :, :]
-            dists = np.linalg.norm(diffs, axis=2)  # (n_profiles, k)
-            nearest = dists.argmin(axis=1)
-            distance = dists[np.arange(len(profiles)), nearest]
-            novel = distance > self.gates[nearest]
-            start = len(self.history)
-            version = self.model_version
-            tracked = [
-                TrackedInterval(
-                    index=start + i,
-                    phase_id=(NOVEL if novel[i]
-                              else int(self.phase_labels[nearest[i]])),
-                    distance=float(distance[i]),
-                    nearest_phase=int(self.phase_labels[nearest[i]]),
-                    model_version=version,
-                )
-                for i in range(len(profiles))
-            ]
+            tracked = self._model.classify(self._vectorize_batch(profiles),
+                                           len(self.history), self._notify_refit)
             self.history.extend(tracked)
-            if self._adaptive is not None:
-                for i in range(len(profiles)):
-                    self._buffer.append(mat[i].copy())
-                    self._drift.observe(bool(novel[i]),
-                                        float(distance[i]) ** 2)
-                    if not novel[i]:
-                        # Mini-batch k-means: the centroid tracks the
-                        # running mean of its members (rate 1/count).
-                        j = int(nearest[i])
-                        self._counts[j] += 1.0
-                        self.centroids[j] += (
-                            (mat[i] - self.centroids[j]) / self._counts[j])
-                self._maybe_refit_locked()
         return tracked
 
-    def delta_profile(self, snapshot: GmonData) -> Optional[Dict[str, float]]:
+    def delta_vector(self, snapshot: GmonData) -> Optional[np.ndarray]:
         """Difference a *cumulative* snapshot against the stream state.
 
-        Returns the interval profile (function -> self seconds) the
-        snapshot closes, or None when it merely primed the differencer
-        (first snapshot without ``zero_start``).  Splitting this from
-        classification lets the service difference a drained batch
-        per-snapshot but classify it in one vectorized call.
-        """
-        with self._lock:
-            if self._previous is None and not self.zero_start:
-                self._previous = snapshot
-                self._previous_vec = None
-                return None
-            delta = (snapshot if self._previous is None
-                     else snapshot.subtract(self._previous))
-            self._previous = snapshot
-            self._previous_vec = None
-        return {func: ticks * delta.sample_period
-                for func, ticks in delta.hist.items()}
-
-    def _hist_ticks_locked(self, snapshot: GmonData) -> np.ndarray:
-        """``snapshot.hist`` projected onto the model universe (ticks)."""
-        vec = np.zeros(len(self.functions))
-        index = self._index
-        for func, ticks in snapshot.hist.items():
-            j = index.get(func)
-            if j is not None:
-                vec[j] = ticks
-        return vec
-
-    def delta_vector(self, snapshot: GmonData) -> Optional[np.ndarray]:
-        """Difference a *cumulative* snapshot straight into feature space.
-
-        Vectorized twin of :meth:`delta_profile`: returns the interval
-        the snapshot closes as an ``(n_functions,)`` self-seconds vector
-        ready for :meth:`classify_batch`, or None when the snapshot
-        merely primed the differencer.  Classification only ever sees
-        the model universe, so projecting each snapshot *before* the
-        clamped subtract commutes with subtracting first — the result
-        matches ``delta_profile`` exactly while skipping the
-        intermediate dicts and the (classification-irrelevant) arc
-        differencing, which is what the service hot path pays for at
-        wire rate.  The projection of the previous snapshot is cached
-        between calls; mixing in :meth:`delta_profile` merely drops the
-        cache, never the correctness.
+        Returns the interval the snapshot closes as an ``(n_functions,)``
+        self-seconds vector for :meth:`classify_batch`, or None when it
+        merely primed the differencer (first snapshot without
+        ``zero_start``).  Snapshots are projected onto the model universe
+        before the subtract, which clamps at zero like
+        ``GmonData.subtract``; other functions and arcs are never
+        differenced.
         """
         with self._lock:
             prev = self._previous
@@ -319,35 +238,19 @@ class OnlinePhaseTracker:
                     > 1e-12):
                 raise ValidationError(
                     "cannot subtract snapshots with different sample periods")
-            cur = self._hist_ticks_locked(snapshot)
-            if prev is None and not self.zero_start:
-                self._previous = snapshot
-                self._previous_vec = cur
-                return None
-            if prev is None:
-                delta = cur
-            else:
-                prev_vec = self._previous_vec
-                if prev_vec is None:  # cache dropped by restore/dict path
-                    prev_vec = self._hist_ticks_locked(prev)
-                delta = np.maximum(cur - prev_vec, 0.0)
+            cur = self._project(snapshot.hist, np.zeros(len(self.functions)))
             self._previous = snapshot
-            self._previous_vec = cur
-            return delta * snapshot.sample_period
+            prev_vec, self._previous_vec = self._previous_vec, cur
+            if prev is None:
+                return cur * snapshot.sample_period if self.zero_start else None
+            return np.maximum(cur - prev_vec, 0.0) * snapshot.sample_period
 
     def observe_snapshot(self, snapshot: GmonData) -> Optional[TrackedInterval]:
-        """Feed a *cumulative* gmon snapshot (deployment dump stream).
-
-        Without ``zero_start``, the first snapshot primes the differencer
-        and returns None; each later one is differenced against its
-        predecessor and classified.  With ``zero_start``, the first
-        snapshot is classified as-is (the stream's zero baseline).
-        """
+        """Feed a *cumulative* gmon snapshot (deployment dump stream):
+        :meth:`delta_vector`, then :meth:`classify`."""
         with self._lock:
-            profile = self.delta_profile(snapshot)
-            if profile is None:
-                return None
-            return self.classify(profile)
+            vec = self.delta_vector(snapshot)
+            return None if vec is None else self.classify(vec)
 
     # ------------------------------------------------------------------
     # live refits and hot swaps
@@ -357,12 +260,16 @@ class OnlinePhaseTracker:
     ) -> None:
         """Call ``listener(tracker, event)`` after each model swap.
 
-        Listeners run under the tracker lock (the swap and its
-        notification are one atomic unit) — keep them quick, and reach
-        back into the tracker only from the same thread.
+        Listeners run under the tracker lock, right after the swap and
+        before the next interval is classified — keep them quick, and
+        reach back into the tracker only from the same thread.
         """
         with self._lock:
             self._refit_listeners.append(listener)
+
+    def _notify_refit(self, event: RefitEvent) -> None:
+        for listener in list(self._refit_listeners):
+            listener(self, event)
 
     def force_refit(self, reason: str = "manual") -> Optional[RefitEvent]:
         """Refit now from the buffered window, ignoring drift/cooldowns.
@@ -371,51 +278,11 @@ class OnlinePhaseTracker:
         fewer than ``min_refit_window`` profiles.
         """
         with self._lock:
-            return self._maybe_refit_locked(reason=reason, force=True)
-
-    def _maybe_refit_locked(self, reason: Optional[str] = None,
-                            force: bool = False) -> Optional[RefitEvent]:
-        ad = self._adaptive
-        if ad is None or len(self._buffer) < ad.min_refit_window:
-            return None
-        n_seen = len(self.history)
-        if not force:
-            if n_seen - self._last_refit_index < ad.cooldown_intervals:
-                return None
-            if (self._last_refit_time is not None
-                    and self._clock() - self._last_refit_time < ad.cooldown_s):
-                return None
-            reason = self._drift.check()
-            if reason is None:
-                return None
-        features = np.vstack(self._buffer)
-        fit = bounded_resweep(
-            features, self.centroids.shape[0], kmax=ad.kmax,
-            seed=np.random.SeedSequence(
-                [ad.seed & 0xFFFFFFFF, self.model_version + 1]),
-            n_init=ad.n_init)
-        new_labels, self._next_label = match_phase_labels(
-            self.centroids, self.phase_labels, fit.centroids, self._next_label,
-            max_distance=self.gates * MATCH_RADIUS_FACTOR)
-        gates = calibrate_gates(features, fit.labels, fit.centroids,
-                                ad.quantile, ad.slack)
-        event = RefitEvent(
-            interval_index=n_seen, version=self.model_version + 1,
-            old_k=self.centroids.shape[0], new_k=fit.k,
-            reason=reason or "forced",
-            label_map=tuple(int(x) for x in new_labels))
-        self.centroids = np.asarray(fit.centroids, dtype=float).copy()
-        self.gates = gates
-        self.phase_labels = new_labels
-        self._counts = np.bincount(fit.labels, minlength=fit.k).astype(float)
-        self.model_version = event.version
-        self._last_refit_index = n_seen
-        self._last_refit_time = self._clock()
-        self._drift.reset(fit.inertia / max(1, features.shape[0]))
-        self.refit_events.append(event)
-        for listener in list(self._refit_listeners):
-            listener(self, event)
-        return event
+            event = self._model.refit(len(self.history),
+                                      reason=reason or "forced")
+            if event is not None:
+                self._notify_refit(event)
+            return event
 
     def install_model(
         self,
@@ -433,14 +300,7 @@ class OnlinePhaseTracker:
         to the history are untouched — only future intervals see the new
         model.
         """
-        centroids = np.asarray(centroids, dtype=float)
-        gates = np.asarray(gates, dtype=float)
-        if centroids.ndim != 2 or centroids.shape[0] != gates.shape[0]:
-            raise ValidationError("centroids and gates disagree")
-        if centroids.shape[1] != len(self.functions):
-            raise ValidationError("centroid width must match function count")
-        if labels is not None and len(labels) != centroids.shape[0]:
-            raise ValidationError("labels must cover every centroid row")
+        self._check_width(centroids)
         with self._lock:
             new_version = (self.model_version + 1 if version is None
                            else int(version))
@@ -448,18 +308,8 @@ class OnlinePhaseTracker:
                 raise ValidationError(
                     f"model version must increase "
                     f"(have {self.model_version}, got {new_version})")
-            k = centroids.shape[0]
-            self.centroids = centroids.copy()
-            self.gates = gates.copy()
-            self.phase_labels = (np.arange(k) if labels is None
-                                 else np.asarray([int(x) for x in labels]))
-            self._counts = (np.ones(k) if counts is None
-                            else np.asarray([float(c) for c in counts]))
-            self._next_label = max(
-                self._next_label, int(self.phase_labels.max()) + 1 if k else 0)
-            self.model_version = new_version
-            if self._drift is not None:
-                self._drift.reset(None)
+            self._model.replace(centroids, gates, labels=labels,
+                                counts=counts, version=new_version)
             return new_version
 
     # ------------------------------------------------------------------
@@ -477,17 +327,13 @@ class OnlinePhaseTracker:
         stream never perturbs another.
         """
         with self._lock:
+            model = self._model
             return OnlinePhaseTracker(
-                functions=self.functions,
-                centroids=self.centroids,
-                gates=self.gates,
-                interval=self.interval,
-                zero_start=zero_start,
-                labels=self.phase_labels,
-                counts=self._counts,
-                version=self.model_version,
-                adaptive=adaptive if adaptive is not None else self._adaptive,
-            )
+                functions=self.functions, centroids=model.centroids,
+                gates=model.gates, interval=self.interval,
+                zero_start=zero_start, labels=model.labels,
+                counts=model.counts, version=model.version,
+                adaptive=adaptive if adaptive is not None else model.adaptive)
 
     # ------------------------------------------------------------------
     # state (for model artifacts and daemon checkpoints)
@@ -527,15 +373,14 @@ class OnlinePhaseTracker:
         artifacts keep loading.
         """
         try:
-            labels = state.get("labels")
             return cls(
                 functions=[str(f) for f in state["functions"]],
                 centroids=np.asarray(state["centroids"], dtype=float).reshape(
                     len(state["gates"]), len(state["functions"])),
-                gates=np.asarray(state["gates"], dtype=float),
+                gates=state["gates"],
                 interval=float(state["interval"]),
                 zero_start=bool(state.get("zero_start", False)),
-                labels=None if labels is None else [int(x) for x in labels],
+                labels=state.get("labels"),
                 version=int(state.get("version", 0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -559,23 +404,18 @@ class OnlinePhaseTracker:
             ]
             previous = self._previous
             state: Dict[str, Any] = {"history": history, "previous": None}
-            if self.model_version > 0 or self._adaptive is not None:
+            model = self._model
+            if model.version > 0 or model.adaptive is not None:
                 state["model"] = {
                     "centroids": [[float(x) for x in row]
-                                  for row in self.centroids],
-                    "gates": [float(g) for g in self.gates],
-                    "labels": [int(x) for x in self.phase_labels],
-                    "counts": [float(c) for c in self._counts],
-                    "version": int(self.model_version),
+                                  for row in model.centroids],
+                    "gates": [float(g) for g in model.gates],
+                    "labels": [int(x) for x in model.labels],
+                    "counts": [float(c) for c in model.counts],
+                    "version": int(model.version),
                 }
-            if self._adaptive is not None:
-                state["refit"] = {
-                    "buffer": [[float(x) for x in row] for row in self._buffer],
-                    "drift": self._drift.state(),
-                    "next_label": int(self._next_label),
-                    "last_refit_index": int(self._last_refit_index),
-                    "events": [e.to_obj() for e in self.refit_events],
-                }
+            if model.adaptive is not None:
+                state["refit"] = model.refit_state()
         if previous is not None:
             state["previous"] = base64.b64encode(
                 dumps_gmon(previous)).decode("ascii")
@@ -607,35 +447,21 @@ class OnlinePhaseTracker:
                 centroids = np.asarray(model["centroids"], dtype=float).reshape(
                     k, len(self.functions))
                 gates = np.asarray(model["gates"], dtype=float)
-                labels = np.asarray([int(x) for x in model["labels"]])
-                counts = np.asarray([float(c) for c in
-                                     model.get("counts", [1.0] * k)])
+                labels = [int(x) for x in model["labels"]]
+                counts = [float(c) for c in model.get("counts", [1.0] * k)]
                 version = int(model.get("version", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad tracker runtime state: {exc!r}") from exc
         with self._lock:
             self.history = history
             self._previous = previous
-            self._previous_vec = None
+            self._previous_vec = (None if previous is None else self._project(
+                previous.hist, np.zeros(len(self.functions))))
             if model is not None:
-                self.centroids = centroids
-                self.gates = gates
-                self.phase_labels = labels
-                self._counts = counts
-                self.model_version = version
-                self._next_label = (int(labels.max()) + 1 if labels.size
-                                    else self._next_label)
-            if refit is not None and self._adaptive is not None:
-                self._buffer.clear()
-                for row in refit.get("buffer", []):
-                    self._buffer.append(np.asarray(row, dtype=float))
-                self._drift.restore(refit.get("drift", {}))
-                self._next_label = max(
-                    self._next_label, int(refit.get("next_label", 0)))
-                self._last_refit_index = int(refit.get("last_refit_index", 0))
-                self._last_refit_time = None  # wall clock doesn't survive restarts
-                self.refit_events = [RefitEvent.from_obj(obj)
-                                     for obj in refit.get("events", [])]
+                self._model.replace(centroids, gates, labels=labels,
+                                    counts=counts, version=version)
+            if refit is not None and self._model.adaptive is not None:
+                self._model.restore_refit_state(refit)
 
     # ------------------------------------------------------------------
     # reporting
@@ -696,22 +522,12 @@ def _commit_pooled(
     away and this stream re-classifies on its own path — correct, just
     not pooled this tick.
     """
-    centroids, _gates, labels, version = snap
+    centroids, _gates, _labels, version = snap
     with tracker._lock:
-        if (tracker.model_version != version
-                or tracker.centroids is not centroids):
+        model = tracker._model
+        if model.version != version or model.centroids is not centroids:
             return tracker.classify_batch(profiles)
-        start = len(tracker.history)
-        tracked = [
-            TrackedInterval(
-                index=start + i,
-                phase_id=(NOVEL if novel[i] else int(labels[nearest[i]])),
-                distance=float(distance[i]),
-                nearest_phase=int(labels[nearest[i]]),
-                model_version=version,
-            )
-            for i in range(len(profiles))
-        ]
+        tracked = model.tracked(len(tracker.history), nearest, distance, novel)
         tracker.history.extend(tracked)
     return tracked
 
@@ -737,15 +553,16 @@ def classify_across(
     pooled: Dict[Any, List[Tuple[int, OnlinePhaseTracker,
                                  Sequence[Profile], _ModelSnap]]] = {}
     for i, (tracker, profiles) in enumerate(groups):
-        if not profiles or tracker._adaptive is not None:
+        if not profiles or tracker._model.adaptive is not None:
             results[i] = tracker.classify_batch(profiles)
             continue
         with tracker._lock:
-            snap: _ModelSnap = (tracker.centroids, tracker.gates,
-                                tracker.phase_labels, tracker.model_version)
-        # Non-adaptive trackers never mutate these arrays in place (every
-        # swap *replaces* them), so the refs stay valid outside the lock
-        # and byte equality is a sound pooling key.
+            model = tracker._model
+            snap: _ModelSnap = (model.centroids, model.gates, model.labels,
+                                model.version)
+        # Frozen models never mutate these arrays in place (every swap
+        # *replaces* them), so the refs stay valid outside the lock and
+        # byte equality is a sound pooling key.
         key = (tuple(tracker.functions), snap[0].shape, snap[0].tobytes(),
                snap[1].tobytes(), snap[2].tobytes(), snap[3])
         pooled.setdefault(key, []).append((i, tracker, profiles, snap))
@@ -757,11 +574,7 @@ def classify_across(
         centroids, gates, _labels, _version = members[0][3]
         mat = np.vstack([trk._vectorize_batch(profiles)
                          for _i, trk, profiles, _s in members])
-        diffs = mat[:, None, :] - centroids[None, :, :]
-        dists = np.linalg.norm(diffs, axis=2)  # (n_total, k)
-        nearest = dists.argmin(axis=1)
-        distance = dists[np.arange(mat.shape[0]), nearest]
-        novel = distance > gates[nearest]
+        nearest, distance, novel = nearest_centroids(mat, centroids, gates)
         offset = 0
         for i, tracker, profiles, snap in members:
             rows = slice(offset, offset + len(profiles))

@@ -198,7 +198,7 @@ class PhaseSignature:
             sequence,
             refit_indices=[e.interval_index for e in result.refits],
             model_version=result.engine.model_version,
-            centroids=getattr(result.engine, "_centroids", None),
+            centroids=result.engine.centroids,
             worker_id=worker_id,
         )
 

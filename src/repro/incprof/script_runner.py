@@ -81,6 +81,9 @@ def profile_script(
     if not script_path.is_file():
         raise CollectorError(f"no such script: {script_path}")
 
+    def run():
+        return runpy.run_path(str(script_path), run_name="__main__")
+
     file_filter = None
     name_filter: Optional[NameFilter] = None
     if exclude_stdlib:
@@ -97,15 +100,16 @@ def profile_script(
                 or filename.startswith("<")
             )
 
-        machinery = {"<module>", "_run_code", "_run_module_code", "run_path", "run"}
+        # The runner's own closure is named the way the tracer names
+        # frames (its qualname where the interpreter records one).
+        code = run.__code__
+        machinery = {"<module>", "_run_code", "_run_module_code", "run_path",
+                     getattr(code, "co_qualname", code.co_name)}
         name_filter = lambda name: name not in machinery  # noqa: E731
 
     saved_argv = sys.argv
     sys.argv = [str(script_path), *argv]
     try:
-        def run():
-            return runpy.run_path(str(script_path), run_name="__main__")
-
         return profile_callable(
             run,
             interval=interval,

@@ -190,7 +190,7 @@ class ServiceMetrics:
         """Accumulate wall time of one worker pipeline stage.
 
         The service hot path is staged (snapshot differencing, then one
-        vectorized classification per drained batch); per-stage totals
+        classification call per drained batch); per-stage totals
         show where worker time actually goes at fleet scale.
         """
         with self._lock:

@@ -16,7 +16,9 @@ method is a thin wrapper over it — and :meth:`IntervalStore.replay` is
 the time-travel API: re-drive any recorded window through a fresh
 :class:`~repro.core.incremental.IncrementalAnalyzer` at memory speed,
 for refit-policy backtesting against recorded traffic (see
-``docs/STORAGE.md``).
+``docs/STORAGE.md``).  The analyzer runs the daemon's live-model engine
+but bootstraps a model of its own, so its labels need not match what
+the daemon reported live.
 """
 
 from __future__ import annotations
@@ -152,9 +154,12 @@ class IntervalStore(ABC):
 
         Feeds every snapshot of ``stream_id`` with timestamp in
         ``[t0, t1)`` (the whole stream by default) through a fresh
-        :class:`IncrementalAnalyzer` — the same code path live traffic
-        takes, minus the network — and returns the per-interval updates
-        plus the engine for finalization.  Pass ``drift``/``warmup``/
+        :class:`IncrementalAnalyzer` and returns the per-interval
+        updates plus the engine for finalization.  The analyzer runs the
+        daemon's live-model engine
+        (:class:`~repro.core.incremental.LiveModel`), but it bootstraps
+        its own model from the window's first ``warmup`` intervals
+        instead of starting from the model the daemon served.  Pass ``drift``/``warmup``/
         ``refit_cooldown`` to backtest refit policies against the
         recorded traffic; pass a pre-built ``engine`` to sweep
         configurations the keyword surface does not cover.

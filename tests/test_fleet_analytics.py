@@ -94,6 +94,25 @@ def test_signature_from_tracker_matches_tracker_accessors():
     assert len(sig.centroid_norms) == len(tracker.centroids)
 
 
+def test_signature_from_replay_reads_the_engine_model(tmp_path):
+    snapshots = []
+    cum = [0, 0, 0]
+    for i in range(30):
+        snap = GmonData(rank=0, timestamp=float(i + 1))
+        for j in range(3):
+            cum[j] += 40 if j == (i // 10) else 5
+            snap.add_ticks(f"f{j}", cum[j])
+        snapshots.append(snap)
+    store = SegmentStore(tmp_path)
+    for i, snap in enumerate(snapshots):
+        store.append("s", i, snap)
+    result = store.replay("s", warmup=8)
+    sig = PhaseSignature.from_replay("s", result)
+    assert sig.model_version == result.engine.model_version >= 1
+    assert sig.refit_indices == [e.interval_index for e in result.refits]
+    assert len(sig.centroid_norms) == result.engine.current_k
+
+
 def test_signature_vector_is_fixed_length_and_bounded():
     for sig in (steady_signature("a"), alternating_signature("b"),
                 PhaseSignature("empty")):

@@ -15,7 +15,9 @@ from repro.core.incremental import (
     calibrate_gates,
     match_phase_labels,
 )
+from repro.core.online import OnlinePhaseTracker
 from repro.core.pipeline import AnalysisConfig, analyze_snapshots
+from repro.gprof.gmon import GmonData
 from repro.incprof.session import Session, SessionConfig
 from repro.util.errors import ProfileDataError, ValidationError
 
@@ -197,3 +199,90 @@ def test_engine_rejects_decreasing_timestamps(synthetic_samples):
     engine.observe(synthetic_samples[1])
     with pytest.raises(ProfileDataError):
         engine.observe(synthetic_samples[0])
+
+
+# ----------------------------------------------------------------------
+# one live-model engine behind both streaming wrappers
+# ----------------------------------------------------------------------
+def rotating_series(n, funcs=24, seed=5):
+    """Cumulative snapshots moving to a new phase every 30 intervals
+    (six phases); every function ticks once in the first snapshot, so
+    the vocabulary is complete from the start."""
+    rng = np.random.default_rng(seed)
+    names = [f"work.func_{j:02d}" for j in range(funcs)]
+    rates = [[int(rng.integers(8, 60)) if j % 6 == p else 0
+              for j in range(funcs)] for p in range(6)]
+    cum = np.ones(funcs, dtype=int)
+    out = []
+    for i in range(n):
+        phase = (i // 30) % 6
+        cum += [max(0, r + int(rng.integers(-2, 3))) if r else 0
+                for r in rates[phase]]
+        snap = GmonData(rank=0, timestamp=float(i + 1))
+        for name, ticks in zip(names, cum):
+            snap.add_ticks(name, int(ticks))
+        out.append(snap)
+    return names, out
+
+
+def test_tracker_and_analyzer_share_one_live_model():
+    """An analyzer past its bootstrap and a tracker holding the same live
+    model label the same rows identically: same phase ids, distances,
+    versions and refit events.  This pins the shared refit rules — the
+    seed ``[seed, version + 1]``, the last-``window`` training rows, and
+    an event index that names the first interval the new model
+    classifies."""
+    config = AnalysisConfig()
+    names, series = rotating_series(240)
+    handoff = 12
+    engine = IncrementalAnalyzer(config, warmup=8)
+    for snap in series[:handoff]:
+        engine.observe(snap)
+    assert engine.model_version == 1 and engine.n_functions == len(names)
+
+    live = engine._model
+    # The analyzer's refit policy, in the tracker's terms.
+    policy = AdaptiveConfig(min_refit_window=2, cooldown_s=0.0,
+                            cooldown_intervals=16, kmax=config.kmax,
+                            n_init=config.n_init, seed=config.seed)
+    assert live.adaptive == policy
+    tracker = OnlinePhaseTracker(
+        functions=names, centroids=live.centroids, gates=live.gates,
+        labels=live.labels, counts=live.counts, version=live.version,
+        adaptive=policy)
+    tracker.restore_runtime_state({
+        "history": [[u.index, NOVEL, 0.0, NOVEL, u.model_version]
+                    for u in engine.updates],
+        "refit": live.refit_state(),
+    })
+    assert tracker.delta_vector(series[handoff - 1]) is None  # primes
+    installed = {}
+    tracker.add_refit_listener(
+        lambda trk, event: installed.setdefault(event.version,
+                                                trk.centroids.copy()))
+
+    for snap in series[handoff:]:
+        update = engine.observe(snap)
+        tracked = tracker.observe_snapshot(snap)
+        assert (tracked.index, tracked.phase_id, tracked.distance,
+                tracked.model_version) == (update.index, update.phase_id,
+                                           update.distance,
+                                           update.model_version)
+    assert tracker.refit_events == engine.refits
+    assert len(engine.refits) >= 3  # bootstrap plus drift refits
+
+    versions = [u.model_version for u in engine.updates]
+    bootstrap, *drift = engine.refits
+    assert versions[bootstrap.interval_index] == 1
+    ticks = np.array([[snap.hist[name] for name in names] for snap in series])
+    rows = np.diff(ticks, axis=0, prepend=0) * series[0].sample_period
+    assert drift[-1].interval_index > policy.window  # the window slid
+    for event in drift:
+        seen = event.interval_index  # the first interval it classifies
+        assert versions[seen - 1] == event.version - 1
+        assert versions[seen] == event.version
+        fit = bounded_resweep(
+            rows[max(0, seen - policy.window):seen], event.old_k,
+            kmax=policy.kmax, n_init=policy.n_init,
+            seed=np.random.SeedSequence([policy.seed, event.version]))
+        np.testing.assert_array_equal(installed[event.version], fit.centroids)

@@ -1,10 +1,12 @@
 """Online phase tracking on deployment-style snapshot streams."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.apps import get_app
-from repro.core.online import NOVEL, OnlinePhaseTracker
+from repro.core.online import NOVEL, OnlinePhaseTracker, classify_across
 from repro.core.pipeline import analyze_snapshots
 from repro.gprof.gmon import GmonData
 from repro.incprof.session import Session, SessionConfig
@@ -258,10 +260,11 @@ def test_decreasing_cumulative_times_clamp_to_zero(trained):
     tracker = OnlinePhaseTracker.from_analysis(analysis)
     assert tracker.observe_snapshot(_snap({"kernel": 200, "reduce": 40},
                                           1.0)) is None
-    profile = tracker.delta_profile(_snap({"kernel": 150, "reduce": 50}, 2.0))
-    assert "kernel" not in profile  # decreased: clamped out entirely
-    assert profile["reduce"] == pytest.approx((50 - 40) * 0.01)
-    assert all(v >= 0 for v in profile.values())
+    vec = tracker.delta_vector(_snap({"kernel": 150, "reduce": 50}, 2.0))
+    col = tracker.functions.index
+    assert vec[col("kernel")] == 0.0  # decreased: clamped to zero
+    assert vec[col("reduce")] == pytest.approx((50 - 40) * 0.01)
+    assert (vec >= 0).all()
 
 
 def test_functions_disappearing_between_snapshots(trained):
@@ -270,10 +273,10 @@ def test_functions_disappearing_between_snapshots(trained):
     analysis, _ = trained
     tracker = OnlinePhaseTracker.from_analysis(analysis)
     assert tracker.observe_snapshot(_snap({"kernel": 85, "reduce": 10,
-                                           "setup": 30}, 1.0)) is None
-    profile = tracker.delta_profile(_snap({"kernel": 170, "reduce": 20}, 2.0))
-    assert "setup" not in profile
-    tracked = tracker.classify(profile)
+                                           "initialize": 30}, 1.0)) is None
+    vec = tracker.delta_vector(_snap({"kernel": 170, "reduce": 20}, 2.0))
+    assert vec[tracker.functions.index("initialize")] == 0.0
+    tracked = tracker.classify(vec)
     assert tracked is not None and not tracked.is_novel
 
 
@@ -383,3 +386,45 @@ def test_runtime_state_round_trips_refit_machinery(trained):
     # the restored window keeps feeding the same drift machinery
     assert clone.classify(dict(alien)).phase_id == \
         tracker.classify(dict(alien)).phase_id
+
+
+def drifting_rows(analysis, seed=3):
+    """Noisy training intervals, then every function's time shifted onto
+    its neighbour: behaviour the trained model never saw."""
+    rng = np.random.default_rng(seed)
+    data = analysis.interval_data
+    n, d = data.self_time.shape
+    shifted = np.roll(data.self_time, 1, axis=1)
+    return ([data.self_time[i % n] * rng.uniform(0.9, 1.1, d) for i in range(40)]
+            + [shifted[i % n] * rng.uniform(0.9, 1.1, d) for i in range(60)])
+
+
+def classified(tracker):
+    return ([(t.index, t.phase_id, t.distance, t.model_version)
+             for t in tracker.history],
+            [(e.interval_index, e.version) for e in tracker.refit_events])
+
+
+def test_labels_do_not_depend_on_batch_splits(trained):
+    """Each interval is labelled as if it arrived alone: refits land
+    between rows, so any split into batches — through ``classify_batch``
+    or the pooled ``classify_across`` — gives the per-row result."""
+    analysis, _ = trained
+    rows = drifting_rows(analysis)
+    one_by_one = adaptive_tracker(analysis)
+    for row in rows:
+        one_by_one.classify(row)
+    want = classified(one_by_one)
+    assert len(one_by_one.refit_events) >= 2
+    rng = random.Random(17)
+    for _split in range(20):
+        batched = adaptive_tracker(analysis)
+        pooled = adaptive_tracker(analysis)
+        start = 0
+        while start < len(rows):
+            chunk = rows[start:start + rng.randint(1, 8)]
+            batched.classify_batch(chunk)
+            classify_across([(pooled, chunk)])
+            start += len(chunk)
+        assert classified(batched) == want
+        assert classified(pooled) == want

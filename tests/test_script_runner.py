@@ -101,3 +101,29 @@ def test_snapshots_feed_flat_profile(demo_script):
     profile = profile_script(demo_script, argv=["0.1", "0.05"], interval=0.05)
     text = FlatProfile.from_gmon(profile.final).render()
     assert "hot" in text and "cold" in text
+
+
+CALL_CHAIN = textwrap.dedent('''
+    import time
+
+    def work(seconds):
+        end = time.perf_counter() + seconds
+        while time.perf_counter() < end:
+            pass
+
+    def main():
+        work(0.05)
+
+    if __name__ == "__main__":
+        main()
+''')
+
+
+def test_profile_script_hides_its_own_runner(tmp_path):
+    """The runner closure that executes the script is machinery: the
+    script's entry point is a root call, exactly as under ``python``."""
+    path = tmp_path / "chain.py"
+    path.write_text(CALL_CHAIN)
+    profile = profile_script(path, interval=0.05)
+    assert set(profile.final.arcs) == {("<spontaneous>", "main"),
+                                       ("main", "work")}

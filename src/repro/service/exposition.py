@@ -145,10 +145,15 @@ def render_prometheus(stats: Dict[str, Any], prefix: str = "incprofd") -> str:
                  [(f'{{tier="{_escape_label(str(tier))}"}}',
                    float(rec.get(field, 0)))
                   for tier, rec in sorted(tiers.items())])
-    if "appends" in store:
-        emit(f"{prefix}_store_appends_total", "counter",
-             "Snapshots appended to the interval archive.",
-             [("", float(store["appends"]))])
+    for key, help_text in (
+        ("appends", "Snapshots appended to the interval archive."),
+        ("flushes", "Interval-archive flushes that wrote segments."),
+        ("commits", "Interval-archive manifest commits."),
+        ("flush_seconds", "Wall seconds spent in interval-archive flushes."),
+    ):
+        if key in store:
+            emit(f"{prefix}_store_{key}_total", "counter", help_text,
+                 [("", float(store[key]))])
 
     analytics = stats.get("analytics") or {}
     if analytics:

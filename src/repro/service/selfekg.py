@@ -24,7 +24,8 @@ from repro.heartbeat.accumulator import HeartbeatRecord, Sink, merge_records
 from repro.heartbeat.api import AppEKG
 
 #: The daemon's pipeline stages, each one heartbeat site (id = index+1).
-SELF_STAGES = ("ingest", "difference", "classify", "aggregate")
+#: New stages go at the end so existing ids keep their meaning.
+SELF_STAGES = ("ingest", "difference", "classify", "aggregate", "archive")
 SELF_STAGE_IDS: Dict[str, int] = {name: i + 1
                                   for i, name in enumerate(SELF_STAGES)}
 SELF_STAGE_LABELS: Dict[int, str] = {i: name

@@ -1203,6 +1203,8 @@ class PhaseMonitorServer:
         total_counted = sum(len(batch) - errors
                             for _s, batch, _p, errors in preps)
         per_item = (end - start) / max(1, total_counted)
+        archive_seconds = 0.0
+        archived = 0
         tracked_iter = iter(tracked_groups)
         for state, batch, _profiles, errors in preps:
             tracked: List[Any] = (list(next(tracked_iter))
@@ -1223,21 +1225,29 @@ class PhaseMonitorServer:
                 state.processed_seq = max(state.processed_seq,
                                           max(item[0] for item in batch))
             if self.store is not None:
-                self._archive_batch(state, batch)
-        aggregate_seconds = time.perf_counter() - end
+                a0 = time.perf_counter()
+                archived += self._archive_batch(state, batch)
+                archive_seconds += time.perf_counter() - a0
+        aggregate_seconds = time.perf_counter() - end - archive_seconds
         self.metrics.note_stage("aggregate", aggregate_seconds, total_items)
+        if self.store is not None:
+            self.metrics.note_stage("archive", archive_seconds, archived)
         if self.selfekg is not None:
             if groups:
                 self.selfekg.record("difference", diff_seconds)
                 self.selfekg.record("classify", classify_seconds)
             self.selfekg.record("aggregate", aggregate_seconds)
+            if self.store is not None:
+                self.selfekg.record("archive", archive_seconds)
         # Per-item share of the batched stages closes out each trace.
         # Spans land in one batched call — the dequeue span (submission
         # to drain, measured against this tick's start) included — so
         # the trace store's lock is taken once per tick, not four times
         # per interval.
+        # The trace's aggregate span still covers the archive append.
         classify_share = (end - start) / max(1, total_items)
-        aggregate_share = aggregate_seconds / max(1, total_items)
+        aggregate_share = ((aggregate_seconds + archive_seconds)
+                           / max(1, total_items))
         closes: List[Tuple[str, List[Tuple[str, float]]]] = []
         origins: List[Tuple[StreamState, int]] = []
         for state, batch, _profiles, _errors in preps:
@@ -1262,8 +1272,9 @@ class PhaseMonitorServer:
     def _archive_batch(
         self, state: StreamState,
         batch: List[Tuple[int, GmonData, str, float]],
-    ) -> None:
-        """Append one classified batch's raw gmon bytes to the archive.
+    ) -> int:
+        """Append one classified batch's raw gmon bytes to the archive;
+        return how many intervals were appended.
 
         Runs under the stream's ``work_lock`` after commit, so per-stream
         interval order is preserved.  A sequence number at or below the
@@ -1274,7 +1285,8 @@ class PhaseMonitorServer:
         """
         store = self.store
         if store is None:
-            return
+            return 0
+        archived = 0
         for seq, gmon, _trace_id, _enq in batch:
             try:
                 if isinstance(gmon, GmonBlob):
@@ -1282,12 +1294,14 @@ class PhaseMonitorServer:
                                  raw=gmon.raw)
                 else:
                     store.append(state.stream_id, seq, gmon)
+                archived += 1
             except CollectorError:
                 continue  # duplicate/rewound seq: already archived
             except (ReproError, OSError) as exc:
                 self.log.warning("store-append-failed",
                                  stream_id=state.stream_id, seq=seq,
                                  error=str(exc))
+        return archived
 
     # ------------------------------------------------------------------
     # housekeeping

@@ -267,7 +267,7 @@ def test_selfekg_concurrent_records_never_violate_ordering():
     for thread in threads:
         thread.join()
     inst.tick()
-    assert inst.events == 800
+    assert inst.events == 200 * len(SELF_STAGES)
 
 
 def test_selfekg_stage_summary_minimum_not_clobbered():

@@ -1,8 +1,11 @@
 """The tiered segment store: round trips, compaction, crash safety."""
 
+import hashlib
+import io
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.gprof.gmon import GmonData, dumps_gmon, loads_gmon
@@ -252,6 +255,152 @@ def test_crash_after_manifest_commit_keeps_new_segments(tmp_path):
              and f"{p.parent.name}/{p.name}" not in
              {s.name for segs in reopened._streams.values() for s in segs}]
     assert stale == []  # orphans reaped
+
+
+def count_commits(store):
+    """Wrap ``store._write_manifest``; the returned list grows per call."""
+    calls = []
+    real = store._write_manifest
+
+    def counting():
+        calls.append(1)
+        real()
+    store._write_manifest = counting
+    return calls
+
+
+def referenced_and_on_disk(store):
+    on_disk = {f"{d.name}/{p.name}"
+               for d in store.segments_dir.iterdir() if d.is_dir()
+               for p in d.iterdir()}
+    referenced = {seg.name for segs in store._streams.values()
+                  for seg in segs}
+    return referenced, on_disk
+
+
+def test_flush_commits_manifest_once_over_many_streams(tmp_path):
+    store = SegmentStore(tmp_path, segment_intervals=64)
+    series = make_series(5)
+    for s in range(32):
+        for i, snap in enumerate(series):
+            store.append(f"s{s:02d}", i, snap)
+    calls = count_commits(store)
+    store.flush()
+    assert len(calls) == 1
+    assert store.describe()["tiers"][str(TIER_RAW)]["segments"] == 32
+    assert store.describe()["flushes"] == 1
+    store.flush()  # nothing pending: no commit, not counted as a flush
+    assert len(calls) == 1
+    assert store.describe()["flushes"] == 1
+    reopened = SegmentStore(tmp_path)
+    assert len(reopened.streams()) == 32
+    for (_i, snap), want in zip(reopened.scan("s31"), series):
+        assert_same_snapshot(snap, want)
+
+
+def test_compaction_pass_commits_manifest_once(tmp_path):
+    store = SegmentStore(tmp_path, segment_intervals=8)
+    series = make_series(40)
+    for i, snap in enumerate(series):
+        store.append("0", i, snap)
+    store.flush()
+    calls = count_commits(store)
+    report = store.compact("0", raw_keep=0)
+    assert report["segments_compacted"] >= 3
+    assert len(calls) == 1
+    referenced, on_disk = referenced_and_on_disk(store)
+    assert on_disk == referenced  # replaced raw files unlinked
+    for (_i, snap), want in zip(SegmentStore(tmp_path).scan("0"), series):
+        assert_same_snapshot(snap, want)
+
+
+def test_flush_whose_commit_fails_loses_only_that_flush(tmp_path):
+    """A crash inside a flush's one commit leaves the previous flush's
+    segment set: every earlier interval, none of the failed flush's, and
+    its segment files reaped as orphans on the next open."""
+    series = make_series(12)
+    store = SegmentStore(tmp_path, segment_intervals=64)
+    for s in range(4):
+        for i, snap in enumerate(series[:6]):
+            store.append(f"s{s}", i, snap)
+    store.flush()
+    for s in range(4):
+        for i, snap in enumerate(series[6:], start=6):
+            store.append(f"s{s}", i, snap)
+
+    def exploding_manifest():
+        raise OSError("simulated crash at the flush commit")
+    store._write_manifest = exploding_manifest
+    with pytest.raises(OSError):
+        store.flush()
+
+    reopened = SegmentStore(tmp_path)
+    assert reopened.streams() == ["s0", "s1", "s2", "s3"]
+    for s in range(4):
+        got = list(reopened.scan(f"s{s}"))
+        assert [i for i, _ in got] == list(range(6))
+        for (_i, snap), want in zip(got, series):
+            assert_same_snapshot(snap, want)
+    referenced, on_disk = referenced_and_on_disk(reopened)
+    assert on_disk == referenced
+
+
+def test_failed_segment_write_still_commits_the_ones_before(tmp_path):
+    store = SegmentStore(tmp_path, segment_intervals=64)
+    series = make_series(4)
+    for sid in ("a", "b"):
+        for i, snap in enumerate(series):
+            store.append(sid, i, snap)
+    real = store._write_segment
+
+    def disk_full_for_b(stream_id, *args, **kwargs):
+        if stream_id == "b":
+            raise OSError("simulated disk full")
+        return real(stream_id, *args, **kwargs)
+    store._write_segment = disk_full_for_b
+    with pytest.raises(OSError):
+        store.flush()
+    assert store.describe()["pending_intervals"] == 4  # b's buffer kept
+    assert [i for i, _ in SegmentStore(tmp_path).scan("a")] == [0, 1, 2, 3]
+
+
+def test_compaction_commits_conversions_before_a_corrupt_segment(tmp_path):
+    store = SegmentStore(tmp_path, segment_intervals=8)
+    for i, snap in enumerate(make_series(32)):
+        store.append("0", i, snap)
+    bad = store._streams["0"][1]
+    path = store._segment_path(bad.name)
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(SampleFileError):
+        store.compact("0", raw_keep=0)
+    tiers = [seg.tier for seg in SegmentStore(tmp_path)._streams["0"]]
+    assert tiers == [TIER_VECTOR, TIER_RAW, TIER_RAW, TIER_RAW]
+
+
+def test_raw_segment_written_by_savez_compressed_still_scans(tmp_path):
+    """Segments written before the raw tier's level changed — plain
+    ``np.savez_compressed`` — read back bit-identically."""
+    series = make_series(10, with_arcs=True)
+    store = SegmentStore(tmp_path, segment_intervals=64)
+    for i, snap in enumerate(series):
+        store.append("0", i, snap)
+    store.flush()
+    seg = store._streams["0"][0]
+    arrays = store._read_segment(seg)
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **arrays)
+    blob = buf.getvalue()
+    store._segment_path(seg.name).write_bytes(blob)
+    seg.bytes = len(blob)
+    seg.sha256 = hashlib.sha256(blob).hexdigest()
+    store._write_manifest()
+
+    got = list(SegmentStore(tmp_path).scan("0"))
+    assert [i for i, _ in got] == list(range(10))
+    for (_i, snap), want in zip(got, series):
+        assert dumps_gmon(snap) == dumps_gmon(canonical(want))
 
 
 def test_torn_manifest_raises_typed_error(tmp_path):

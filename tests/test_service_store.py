@@ -6,6 +6,7 @@ socket"``.
 """
 
 import socket
+import time
 
 import pytest
 
@@ -18,7 +19,9 @@ from repro.service import (
     Endpoint,
     PhaseMonitorServer,
     ServerConfig,
+    parse_prometheus,
     publish_samples,
+    render_prometheus,
 )
 from repro.store.segments import SegmentStore
 
@@ -141,3 +144,39 @@ def test_server_background_compactor_migrates_tiers(tmp_path,
     # Compaction never loses an interval.
     store = SegmentStore(store_dir, create=False)
     assert len(list(store.scan("cold-r0"))) == len(samples)
+
+
+def test_server_times_archive_stage_and_counts_commits(tmp_path,
+                                                       template_and_samples):
+    """The archive append is a stage of its own (stage metrics and
+    self-heartbeats), and the store exports its flush and commit counts:
+    one commit per flush that wrote segments, full-buffer rolls included."""
+    template, samples = template_and_samples
+    config = make_config(store_dir=str(tmp_path / "store"),
+                         self_heartbeat_interval=0.05)
+    with PhaseMonitorServer(template, config) as server:
+        server.store.segment_intervals = 8  # appends roll full buffers too
+        for r in range(2):
+            report = publish_samples(server.endpoint, f"staged-r{r}", samples,
+                                     app="synthetic")
+            assert report.error == ""
+            server.store.flush()
+        server.store.flush()  # nothing pending: neither flush nor commit
+        deadline = time.monotonic() + 10.0
+        while ("archive" not in server.selfekg.stage_summary()["stages"]
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        stats = server.stats()
+        selfhb = server.selfekg.stage_summary()
+
+    store = stats["store"]
+    assert store["appends"] == 2 * len(samples)
+    assert stats["stages"]["archive"]["items"] == store["appends"]
+    assert store["flushes"] > len(samples) // 8
+    assert store["commits"] == store["flushes"]
+    assert store["flush_seconds"] > 0.0
+    assert selfhb["stages"]["archive"]["count"] > 0
+    parsed = parse_prometheus(render_prometheus(stats))
+    for key in ("appends", "flushes", "commits", "flush_seconds"):
+        assert parsed[f"incprofd_store_{key}_total"] == pytest.approx(
+            float(store[key]))

@@ -47,7 +47,7 @@ RETRY = RetryPolicy(max_attempts=4, base_delay=0.05, max_delay=0.5,
 def _measure_fleet(n_workers: int, root: str, model_path: str,
                    gen: SyntheticLoadGenerator) -> dict:
     config = FleetConfig(root=root, n_workers=n_workers,
-                         model_path=model_path, worker_threads=1,
+                         model_path=model_path,
                          checkpoint_interval=10.0, ping_interval=2.0,
                          log_level="error")
     with WorkerSupervisor(config) as supervisor:

@@ -285,7 +285,7 @@ def test_wire_throughput():
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--model", model_path,
-             "--port", str(port), "--workers", "1", "--log-level", "error"],
+             "--port", str(port), "--log-level", "error"],
             env=env, cwd=str(REPO_ROOT),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         endpoint = Endpoint.tcp("127.0.0.1", port)

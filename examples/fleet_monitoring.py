@@ -43,7 +43,7 @@ def main() -> None:
         template = load_model(artifact)
 
     # ---- the daemon: ephemeral loopback port, blocking backpressure ----
-    config = ServerConfig(endpoint=Endpoint.tcp("127.0.0.1", 0), workers=4)
+    config = ServerConfig(endpoint=Endpoint.tcp("127.0.0.1", 0))
     with PhaseMonitorServer(template, config) as server:
         print(f"incprofd listening on {server.endpoint} "
               f"(policy={config.policy}, queue={config.queue_capacity})\n")

@@ -559,7 +559,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 else Endpoint.tcp(args.host, args.port))
     config = ServerConfig(
         endpoint=endpoint,
-        workers=args.workers,
         queue_capacity=args.queue,
         policy=args.policy,
         idle_timeout=args.idle_timeout,
@@ -587,8 +586,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"restored {len(server.restored_streams)} stream(s) from "
               f"checkpoint: {', '.join(sorted(server.restored_streams))}")
     print(f"incprofd listening on {bound} "
-          f"(workers={config.workers}, queue={config.queue_capacity}, "
-          f"policy={config.policy}"
+          f"(queue={config.queue_capacity}, policy={config.policy}"
           + (f", checkpoints -> {args.checkpoint_dir} "
              f"every {config.checkpoint_interval:g}s"
              if args.checkpoint_dir else "")
@@ -620,8 +618,7 @@ def _serve_selftest(args: argparse.Namespace) -> int:
     )
     template = OnlinePhaseTracker.from_analysis(analysis)
     config = ServerConfig(endpoint=Endpoint.tcp("127.0.0.1", 0),
-                          workers=args.workers, queue_capacity=args.queue,
-                          policy="block")
+                          queue_capacity=args.queue, policy="block")
     n_streams, n_intervals = 4, 24
     with PhaseMonitorServer(template, config) as server:
         load = generator.run(server.endpoint, n_streams, n_intervals)
@@ -664,7 +661,6 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         root=root,
         n_workers=args.workers,
         model_path=args.model,
-        worker_threads=args.worker_threads,
         queue_capacity=args.queue,
         policy=args.policy,
         idle_timeout=args.idle_timeout,
@@ -744,7 +740,7 @@ def _serve_fleet_selftest(args: argparse.Namespace) -> int:
         save_model(analysis, model_path)
         fleet_config = FleetConfig(
             root=root, n_workers=n_workers, model_path=model_path,
-            worker_threads=2, checkpoint_interval=0.2, ping_interval=0.2,
+            checkpoint_interval=0.2, ping_interval=0.2,
             max_restarts=0, log_level="error",
         )
         retry = RetryPolicy(max_attempts=8, base_delay=0.1, max_delay=1.0)
@@ -889,7 +885,7 @@ def _serve_fleet_analytics_selftest(args: argparse.Namespace) -> int:
         save_model(analysis, model_path)
         fleet_config = FleetConfig(
             root=root, n_workers=n_workers, model_path=model_path,
-            worker_threads=2, checkpoint_interval=0.2, ping_interval=0.2,
+            checkpoint_interval=0.2, ping_interval=0.2,
             max_restarts=0, log_level="error", archive_intervals=True,
         )
         retry = RetryPolicy(max_attempts=8, base_delay=0.1, max_delay=1.0)
@@ -1136,7 +1132,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
                 lines = [
                     f"incprofd @ {endpoint}  "
                     f"streams={stats.get('streams', 0)} "
-                    f"workers={stats.get('workers', '?')} "
                     f"policy={stats.get('policy', '?')}",
                     f"  rate   {history['rate'][-1]:10.1f}/s "
                     f"{sparkline(history['rate'], width=args.width)}",
@@ -1392,8 +1387,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="TCP port (0 = ephemeral)")
     p_serve.add_argument("--unix", default=None,
                          help="listen on a unix socket path instead of TCP")
-    p_serve.add_argument("--workers", type=int, default=4,
-                         help="classification worker threads")
     p_serve.add_argument("--queue", type=int, default=64,
                          help="per-stream queue capacity")
     p_serve.add_argument("--policy", default="block",
@@ -1452,8 +1445,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["proxy", "redirect"],
                          help="proxy forwards requests; redirect points "
                               "publishers at the owning worker")
-    p_fleet.add_argument("--worker-threads", type=int, default=2,
-                         help="classification threads per worker daemon")
     p_fleet.add_argument("--queue", type=int, default=64,
                          help="per-stream queue capacity in each worker")
     p_fleet.add_argument("--policy", default="block",

@@ -68,8 +68,6 @@ class FleetConfig:
     n_workers: int = 2
     #: Phase-model artifact every worker serves (None: ingest-only).
     model_path: Optional[str] = None
-    #: Classification threads inside each worker daemon.
-    worker_threads: int = 2
     queue_capacity: int = 64
     policy: str = "block"
     idle_timeout: float = 30.0
@@ -95,8 +93,6 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValidationError("need at least one worker")
-        if self.worker_threads < 1:
-            raise ValidationError("need at least one worker thread")
         if self.startup_timeout <= 0:
             raise ValidationError("startup timeout must be positive")
         if self.max_restarts < 0:
@@ -226,7 +222,6 @@ class WorkerSupervisor:
             "--worker-id", handle.worker_id,
             "--checkpoint-dir", str(handle.checkpoint_dir),
             "--checkpoint-interval", str(cfg.checkpoint_interval),
-            "--workers", str(cfg.worker_threads),
             "--queue", str(cfg.queue_capacity),
             "--policy", cfg.policy,
             "--idle-timeout", str(cfg.idle_timeout),

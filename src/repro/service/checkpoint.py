@@ -10,7 +10,7 @@ state to disk on the housekeeping cadence:
   phase-model artifacts, written atomically (temp file + rename) so a
   crash *during* a checkpoint leaves the previous one intact.
 - Per stream the checkpoint records the resume anchor ``processed_seq``
-  — the highest sequence number the worker pool actually consumed — and
+  — the highest sequence number the classify thread actually consumed — and
   counters clamped to it.  Snapshots that were admitted but still queued
   at the crash are deliberately *not* recorded: the publisher's
   ``hello(resume=True)`` handshake re-sends from ``processed_seq + 1``,

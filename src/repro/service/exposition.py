@@ -27,12 +27,15 @@ CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: stats() counter keys exposed as monotone ``*_total`` counters.
 _COUNTERS = (
     ("ingested", "Snapshots admitted into a stream queue."),
-    ("processed", "Intervals classified by the worker pool."),
+    ("processed", "Intervals classified by the classify thread."),
     ("novel", "Classified intervals flagged as novel behaviour."),
     ("dropped_oldest", "Snapshots evicted by the drop-oldest policy."),
     ("rejected", "Snapshots refused by backpressure."),
     ("protocol_errors", "Malformed frames or messages."),
-    ("ingest_errors", "Snapshots that failed differencing."),
+    ("ingest_errors", "Snapshots that failed differencing or were lost "
+                      "to a failed classify tick."),
+    ("classify_failures", "Classify ticks that raised; the classify "
+                          "thread logged them and carried on."),
     ("heartbeats", "Application heartbeat rows accepted."),
     ("connections", "Connections accepted."),
     ("faults_injected", "Fault-injector actions taken."),
@@ -51,7 +54,6 @@ _GAUGES = (
     ("ingest_rate", "Processed intervals per second since first ingest."),
     ("ldms_delivered", "Heartbeat rows delivered through the LDMS sampler."),
     ("restored_streams", "Streams restored from the last checkpoint."),
-    ("workers", "Classification worker threads."),
 )
 
 
@@ -107,9 +109,9 @@ def render_prometheus(stats: Dict[str, Any], prefix: str = "incprofd") -> str:
     stages = stats.get("stages") or {}
     if stages:
         for field, help_text in (
-            ("seconds", "Wall seconds spent in each worker pipeline stage."),
-            ("items", "Items processed by each worker pipeline stage."),
-            ("calls", "Batch invocations of each worker pipeline stage."),
+            ("seconds", "Wall seconds spent in each classify pipeline stage."),
+            ("items", "Items processed by each classify pipeline stage."),
+            ("calls", "Batch invocations of each classify pipeline stage."),
         ):
             emit(f"{prefix}_stage_{field}_total", "counter", help_text,
                  [(f'{{stage="{_escape_label(stage)}"}}', float(rec[field]))
@@ -150,6 +152,8 @@ def render_prometheus(stats: Dict[str, Any], prefix: str = "incprofd") -> str:
         ("flushes", "Interval-archive flushes that wrote segments."),
         ("commits", "Interval-archive manifest commits."),
         ("flush_seconds", "Wall seconds spent in interval-archive flushes."),
+        ("compactor_failures", "Interval-archive maintenance passes that "
+                               "raised; the compactor retries next tick."),
     ):
         if key in store:
             emit(f"{prefix}_store_{key}_total", "counter", help_text,

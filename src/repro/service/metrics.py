@@ -2,8 +2,8 @@
 
 The daemon measures itself the way it measures applications: counters
 plus per-interval style summaries.  Everything here is thread-safe —
-reader threads, workers, and the stats endpoint all touch the same
-object concurrently.
+reader threads, the classify thread, and the stats endpoint all touch
+the same object concurrently.
 """
 
 from __future__ import annotations
@@ -101,6 +101,9 @@ class ServiceMetrics:
         self.rejected = 0
         self.protocol_errors = 0
         self.ingest_errors = 0
+        #: Classify ticks that raised (their intervals count in
+        #: ``ingest_errors``).
+        self.classify_failures = 0
         self.heartbeats = 0
         self.connections = 0
         self.faults_injected = 0
@@ -160,9 +163,14 @@ class ServiceMetrics:
         with self._lock:
             self.protocol_errors += 1
 
-    def note_ingest_error(self) -> None:
+    def note_ingest_error(self, n: int = 1) -> None:
         with self._lock:
-            self.ingest_errors += 1
+            self.ingest_errors += n
+
+    def note_classify_failure(self) -> None:
+        """One classify tick raised; the classify thread carried on."""
+        with self._lock:
+            self.classify_failures += 1
 
     def note_heartbeats(self, n: int) -> None:
         with self._lock:
@@ -187,11 +195,11 @@ class ServiceMetrics:
             self.wrong_worker += 1
 
     def note_stage(self, stage: str, seconds: float, items: int = 1) -> None:
-        """Accumulate wall time of one worker pipeline stage.
+        """Accumulate wall time of one classify pipeline stage.
 
         The service hot path is staged (snapshot differencing, then one
         classification call per drained batch); per-stage totals
-        show where worker time actually goes at fleet scale.
+        show where classify time actually goes at fleet scale.
         """
         with self._lock:
             rec = self.stages.setdefault(
@@ -245,6 +253,7 @@ class ServiceMetrics:
                 "drops": self.dropped_oldest + self.rejected,
                 "protocol_errors": self.protocol_errors,
                 "ingest_errors": self.ingest_errors,
+                "classify_failures": self.classify_failures,
                 "heartbeats": self.heartbeats,
                 "connections": self.connections,
                 "faults_injected": self.faults_injected,
@@ -277,10 +286,10 @@ class ServiceMetrics:
 #: stats() keys that sum across workers in a merged fleet view.
 _MERGE_SUM_KEYS = (
     "ingested", "processed", "novel", "dropped_oldest", "rejected",
-    "drops", "protocol_errors", "ingest_errors", "heartbeats",
-    "connections", "faults_injected", "checkpoints_written", "refits",
-    "wrong_worker", "streams", "queued_total", "ldms_delivered",
-    "restored_streams", "workers", "finished_evicted", "ingest_rate",
+    "drops", "protocol_errors", "ingest_errors", "classify_failures",
+    "heartbeats", "connections", "faults_injected", "checkpoints_written",
+    "refits", "wrong_worker", "streams", "queued_total", "ldms_delivered",
+    "restored_streams", "finished_evicted", "ingest_rate",
 )
 
 _MERGE_QS = (0.5, 0.9, 0.99, 0.999)

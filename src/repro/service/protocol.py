@@ -849,8 +849,14 @@ class Endpoint:
         """Open a client socket to this endpoint."""
         if self.kind == "unix":
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(timeout)
-            sock.connect(self.path)
+            try:
+                sock.settimeout(timeout)
+                sock.connect(self.path)
+            except OSError:
+                # create_connection closes its socket on failure; do
+                # the same, or every failed dial leaks a descriptor.
+                sock.close()
+                raise
         else:
             sock = socket.create_connection((self.host, self.port), timeout=timeout)
             enable_nodelay(sock)

@@ -29,7 +29,7 @@ class StreamState:
 
     The ``queue`` attribute is attached by the server (the registry is
     transport-agnostic); counter updates take the per-stream lock so the
-    reader thread and the worker pool can update concurrently.
+    reader thread and the classify thread can update concurrently.
     """
 
     def __init__(
@@ -47,16 +47,16 @@ class StreamState:
         self.connected_at = now
         self.last_seen = now
         self.lock = threading.Lock()
-        #: Held by a worker for one whole classify batch and by the
+        #: Held by the classify thread for one whole batch and by the
         #: checkpointer while snapshotting — a checkpoint never observes
         #: a stream with its differencer advanced but history not yet
         #: appended.
         self.work_lock = threading.Lock()
         self.queue: Any = None  # BoundedStreamQueue, attached by the server
-        self.scheduled = False  # worker-pool scheduling flag (server-owned)
+        self.scheduled = False  # ready-queue scheduling flag (server-owned)
         self.closed = False
         self.last_seq = -1
-        #: Highest sequence number actually consumed by the worker pool
+        #: Highest sequence number actually consumed by the classify thread
         #: (differenced/classified) — the resume anchor a checkpoint
         #: records, as opposed to ``last_seq`` which is merely admitted.
         self.processed_seq = -1

@@ -40,9 +40,9 @@ class SelfInstrument:
     """Heartbeat instrumentation of the daemon's own pipeline.
 
     Wraps one :class:`AppEKG` runtime behind a lock so reader threads,
-    the worker pool, and housekeeping can all report stage work.  Stage
-    completions arrive with a measured *duration* rather than live
-    begin/end calls — many workers run the same stage concurrently and
+    the classify thread, and housekeeping can all report stage work.
+    Stage completions arrive with a measured *duration* rather than live
+    begin/end calls — many reader threads run the same stage at once and
     AppEKG keeps one begin-slot per ID — so each completion is replayed
     as a ``begin/end`` pair at a monotonically non-decreasing end time
     (the accumulator's ordering contract).

@@ -6,15 +6,21 @@ Architecture (one box per thread group)::
                                                         │
                                              scheduler (ready queue)
                                                         │
-                                                  worker pool ──▶ per-stream
-                                                                  OnlinePhaseTracker
+                                                 classify thread ──▶ per-stream
+                                                                     OnlinePhaseTracker
     housekeeping thread: idle-stream expiry + LDMS sampler pulls
 
 Each accepted connection gets a reader thread that decodes frames and
-*enqueues* snapshots — classification happens on the worker pool, so a
-slow stream cannot stall ingest for the others.  Per-stream ordering is
-preserved by scheduling: a stream is in the ready queue at most once, so
-only one worker services a given stream at a time.
+*enqueues* snapshots — classification happens on one classify thread,
+so a slow stream cannot stall ingest for the others.  Per-stream
+ordering is preserved by scheduling: a stream is in the ready queue at
+most once, and the classify thread drains it in arrival order.
+
+One classify thread, not a pool: differencing and classification are
+Python and NumPy work that holds the interpreter lock, so a pool never
+classified two streams at once; it only added lock handoffs and context
+switches (docs/PERFORMANCE.md, "Daemon threads").  Scaling out across
+cores is ``serve-fleet``'s job: shared-nothing daemon processes.
 
 Backpressure when a stream's queue is full is explicit policy:
 
@@ -32,6 +38,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+import traceback
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from queue import Empty, Queue
@@ -113,9 +120,9 @@ BACKPRESSURE_POLICIES = ("block", "drop-oldest", "reject")
 class BoundedStreamQueue:
     """A bounded FIFO with an explicit full-queue policy.
 
-    ``put`` is called by reader threads, ``pop_batch`` by workers; the
-    condition variable couples them so the ``block`` policy gives real
-    producer backpressure rather than buffering.
+    ``put`` is called by reader threads, ``pop_batch`` by the classify
+    thread; the condition variable couples them so the ``block`` policy
+    gives real producer backpressure rather than buffering.
     """
 
     def __init__(self, capacity: int, policy: str = "block") -> None:
@@ -186,11 +193,10 @@ class ServerConfig:
     """Tunables of one ``incprofd`` instance."""
 
     endpoint: Endpoint = field(default_factory=Endpoint.tcp)
-    workers: int = 4
     queue_capacity: int = 64
     policy: str = "block"
-    #: Give up on a blocked put after this many seconds (a wedged worker
-    #: pool must not hold reader threads hostage forever).
+    #: Give up on a blocked put after this many seconds (a wedged
+    #: classify thread must not hold reader threads hostage forever).
     block_timeout: float = 30.0
     idle_timeout: float = 30.0
     #: Housekeeping cadence (idle expiry + LDMS sampler pulls).
@@ -253,14 +259,12 @@ class ServerConfig:
     #: (dispatch is per frame); lowering this only steers clients — the
     #: knob that lets tests exercise a v1-only server.
     max_protocol: int = BINARY_PROTOCOL_VERSION
-    #: How many ready streams one worker tick coalesces into a single
+    #: How many ready streams one classify tick coalesces into a single
     #: cross-stream vectorized classify call.  1 restores strictly
     #: per-stream ticks.
     coalesce_streams: int = 4
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValidationError("need at least one worker")
         if self.policy not in BACKPRESSURE_POLICIES:
             raise ValidationError(f"unknown backpressure policy {self.policy!r}")
         if self.batch_size < 1:
@@ -306,7 +310,7 @@ class ServerConfig:
 
 
 class PhaseMonitorServer:
-    """The daemon: socket front end, worker pool, fleet state."""
+    """The daemon: socket front end, classify thread, fleet state."""
 
     def __init__(
         self,
@@ -419,8 +423,7 @@ class PhaseMonitorServer:
         self._stopped.clear()
 
         self._spawn(self._accept_loop, "incprofd-accept")
-        for i in range(cfg.workers):
-            self._spawn(self._worker_loop, f"incprofd-worker-{i}")
+        self._spawn(self._classify_loop, "incprofd-classify")
         self._spawn(self._housekeeping_loop, "incprofd-housekeeping")
         if self.store is not None:
             # The store runs its own maintenance thread (flush pending
@@ -442,8 +445,7 @@ class PhaseMonitorServer:
             self.dashboard_http.start()
         self.log.info(
             "server-started",
-            endpoint=str(self._endpoint), workers=cfg.workers,
-            policy=cfg.policy,
+            endpoint=str(self._endpoint), policy=cfg.policy,
             restored_streams=len(self.restored_streams),
             metrics_url=(self.metrics_http.url
                          if self.metrics_http is not None else None))
@@ -516,16 +518,16 @@ class PhaseMonitorServer:
         for state in self.registry.active():
             if state.queue is not None:
                 state.queue.close()
-        for _ in range(self.config.workers):
-            self._ready.put(None)
+        self._ready.put(None)
         current = threading.current_thread()
         for thread in self._threads:
             if thread is not current:
                 thread.join(timeout=5.0)
         try:
-            # Final checkpoint after the workers quiesce, so an orderly
-            # shutdown persists exactly the classified state (including
-            # any refit artifacts still queued for persistence).
+            # Final checkpoint after the classify thread quiesces, so an
+            # orderly shutdown persists exactly the classified state
+            # (including any refit artifacts still queued for
+            # persistence).
             self._flush_model_saves()
             self.checkpoint_now()
         except (CheckpointError, OSError) as exc:
@@ -602,7 +604,7 @@ class PhaseMonitorServer:
                     break
                 try:
                     # Lazy gmon: a binary snapshot is admitted on header
-                    # validation alone; the classify worker pays the
+                    # validation alone; the classify thread pays the
                     # parse off this reader thread's critical path.
                     msg = decode_payload(payload, lazy_gmon=True)
                 except ProtocolError as exc:
@@ -1068,16 +1070,17 @@ class PhaseMonitorServer:
                                  error=str(exc))
 
     # ------------------------------------------------------------------
-    # worker pool + scheduler
+    # classify thread + scheduler
     # ------------------------------------------------------------------
     def _schedule(self, state: StreamState) -> None:
-        """Put a stream on the ready queue unless a worker already has it."""
+        """Put a stream on the ready queue unless it is already there
+        or being classified."""
         with self._sched_lock:
             if not state.scheduled:
                 state.scheduled = True
                 self._ready.put(state)
 
-    def _worker_loop(self) -> None:
+    def _classify_loop(self) -> None:
         while True:
             try:
                 state = self._ready.get(timeout=0.5)
@@ -1088,19 +1091,15 @@ class PhaseMonitorServer:
             if state is None:
                 return
             states = [state]
-            # Cross-stream coalescing: opportunistically take more ready
-            # streams so this tick classifies all of them in one
-            # vectorized call.  Per-stream ordering is untouched — the
-            # ``scheduled`` flag still guarantees a stream is owned by at
-            # most one worker at a time.
+            # Cross-stream coalescing: take more ready streams so this
+            # tick classifies all of them in one vectorized call.
             while len(states) < self.config.coalesce_streams:
                 try:
                     extra = self._ready.get_nowait()
                 except Empty:
                     break
                 if extra is None:
-                    # A shutdown token meant for some worker; hand it
-                    # back and stop coalescing.
+                    # Shutdown: finish this tick, then stop.
                     self._ready.put(None)
                     break
                 states.append(extra)
@@ -1108,13 +1107,46 @@ class PhaseMonitorServer:
                     for st in states]
             work = [(st, batch) for st, batch in work if batch]
             if work:
-                self._classify_many(work)
+                try:
+                    self._classify_many(work)
+                except Exception:
+                    # The daemon's only classify thread must outlive
+                    # any one tick, or every stream stops classifying.
+                    self._fail_tick(work)
             with self._sched_lock:
                 for st in states:
                     if len(st.queue):
                         self._ready.put(st)
                     else:
                         st.scheduled = False
+
+    def _fail_tick(
+        self, work: List[Tuple[StreamState, List[Tuple[int, GmonData, str, float]]]],
+    ) -> None:
+        """Account a classify tick that raised, from its ``except`` block.
+
+        Every interval the tick had not committed counts as an ingest
+        error, like a snapshot whose differencing failed: it is consumed
+        (so ``bye`` drains and checkpoints move past it) but never
+        classified, and its trace stays incomplete.
+        """
+        self.metrics.note_classify_failure()
+        lost: Dict[str, int] = {}
+        for state, batch in work:
+            last_seq = batch[-1][0]
+            with state.lock:
+                # A stream committed before the exception has already
+                # advanced its resume anchor past this batch.
+                if state.processed_seq >= last_seq:
+                    continue
+                state.processed += len(batch)
+                state.processed_seq = last_seq
+            lost[state.stream_id] = len(batch)
+        self.metrics.note_ingest_error(sum(lost.values()))
+        self.log.error("classify-tick-failed",
+                       streams=[state.stream_id for state, _batch in work],
+                       lost_intervals=lost,
+                       traceback=traceback.format_exc())
 
     def _classify_batch(self, state: StreamState,
                         batch: List[Tuple[int, GmonData, str, float]]) -> None:
@@ -1130,10 +1162,9 @@ class PhaseMonitorServer:
         The single-stream case routes through :meth:`_classify_batch` so
         per-instance wrappers (tests, instrumentation) keep intercepting
         the classic path.  Holding several ``work_lock``\\ s at once is
-        deadlock-free: each stream here is exclusively owned by this
-        worker (its ``scheduled`` flag is set), and every other
-        ``work_lock`` taker (the checkpointer) holds at most one at a
-        time, so no cycle can form.
+        deadlock-free: only the classify thread takes more than one, and
+        every other ``work_lock`` taker (the checkpointer) holds at most
+        one at a time, so no cycle can form.
         """
         if len(work) == 1:
             self._classify_batch(work[0][0], work[0][1])
@@ -1151,7 +1182,7 @@ class PhaseMonitorServer:
     def _classify_work_locked(
         self, work: List[Tuple[StreamState, List[Tuple[int, GmonData, str, float]]]],
     ) -> None:
-        """Difference + classify + commit for one coalesced worker tick.
+        """Difference + classify + commit for one coalesced classify tick.
 
         Differencing stays per-snapshot (each delta depends on its
         predecessor and may fail independently), but classification of
@@ -1180,7 +1211,7 @@ class PhaseMonitorServer:
                         profile = state.tracker.delta_vector(gmon)
                     except ReproError:
                         # A single inconsistent snapshot (e.g. mismatched
-                        # sample period) must not take the worker down.
+                        # sample period) must not fail the whole tick.
                         errors += 1
                         self.metrics.note_ingest_error()
                         continue
@@ -1415,7 +1446,6 @@ class PhaseMonitorServer:
         snap["queued_total"] = sum(depths.values())
         snap["streams"] = len(self.registry)
         snap["policy"] = self.config.policy
-        snap["workers"] = self.config.workers
         snap["ldms_delivered"] = self.transport.delivered
         snap["restored_streams"] = len(self.restored_streams)
         snap["finished_evicted"] = self.registry.finished_evicted

@@ -7,8 +7,8 @@ through the pipeline.  Each stage appends a *span* (its wall time in
 seconds):
 
 ``enqueue``    admission into the stream's bounded queue (reader thread)
-``dequeue``    time spent waiting in the queue until a worker drained it
-``classify``   differencing + phase classification (worker pool)
+``dequeue``    time waiting in the queue until the classify thread drained it
+``classify``   differencing + phase classification (classify thread)
 ``aggregate``  counter/metric aggregation after classification
 
 The store is a bounded ring — a long-lived daemon answering ``trace``
@@ -71,10 +71,10 @@ class TraceRecord:
 class TraceStore:
     """Thread-safe bounded ring of trace records, keyed by trace id.
 
-    Reader threads begin traces and record the enqueue span; workers add
-    the remaining spans and mark completion.  When the ring is full the
-    oldest trace is evicted — recency is what an operator debugging a
-    live daemon needs.
+    Reader threads begin traces and record the enqueue span; the classify
+    thread adds the remaining spans and marks completion.  When the ring
+    is full the oldest trace is evicted — recency is what an operator
+    debugging a live daemon needs.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -128,7 +128,7 @@ class TraceStore:
     ) -> List[Optional[TraceRecord]]:
         """Add final spans and complete many traces under one lock.
 
-        A worker's coalesced tick closes out every interval it
+        A coalesced classify tick closes out every interval it
         classified in a single call — the per-interval lock round-trips
         of ``add_span``/``complete`` are what this batches away.  Span
         stages are validated exactly as :meth:`add_span`; an evicted

@@ -35,6 +35,7 @@ import hashlib
 import io
 import threading
 import time
+import traceback
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -172,6 +173,10 @@ class SegmentStore(IntervalStore):
         self.flushes = 0
         self.flush_seconds = 0.0
         self.commits = 0
+        #: Background maintenance passes that raised, and the traceback
+        #: of the last one (the compactor retries on its next tick).
+        self.compactor_failures = 0
+        self.compactor_traceback: Optional[str] = None
         if create:
             self.root.mkdir(parents=True, exist_ok=True)
         elif not self.root.is_dir():
@@ -634,7 +639,14 @@ class SegmentStore(IntervalStore):
     # background compaction
     # ------------------------------------------------------------------
     def start_compactor(self, interval: float = 30.0) -> None:
-        """Run flush+compact+gc on a cadence in a daemon thread."""
+        """Run flush+compact+gc on a cadence in a daemon thread.
+
+        A pass that raises (say, a full disk at the manifest commit) is
+        counted in ``compactor_failures``, its traceback kept in
+        ``compactor_traceback`` (both in :meth:`describe`), and the next
+        tick tries again: segments a failed commit left out go into the
+        next commit.
+        """
         if interval <= 0:
             raise ValidationError("compactor interval must be positive")
         if self._compactor is not None:
@@ -643,9 +655,16 @@ class SegmentStore(IntervalStore):
 
         def loop() -> None:
             while not self._compactor_stop.wait(interval):
-                self.flush()
-                self.compact()
-                self.gc()
+                try:
+                    self.flush()
+                    self.compact()
+                    self.gc()
+                except Exception:
+                    # A dead compactor would leave every later append
+                    # pending until close().
+                    with self._lock:
+                        self.compactor_failures += 1
+                        self.compactor_traceback = traceback.format_exc()
 
         self._compactor = threading.Thread(target=loop,
                                            name="segment-compactor",
@@ -685,6 +704,8 @@ class SegmentStore(IntervalStore):
                 "flushes": self.flushes,
                 "commits": self.commits,
                 "flush_seconds": self.flush_seconds,
+                "compactor_failures": self.compactor_failures,
+                "compactor_traceback": self.compactor_traceback,
                 "pending_intervals": sum(len(p.indices)
                                          for p in self._pending.values()),
                 "tiers": {str(t): info for t, info in tiers.items()},

@@ -54,7 +54,7 @@ FAST_RETRY = RetryPolicy(base_delay=0.01, max_delay=0.1, request_timeout=5.0)
 
 
 def make_config(**overrides) -> ServerConfig:
-    defaults = dict(endpoint=Endpoint.tcp("127.0.0.1", 0), workers=2,
+    defaults = dict(endpoint=Endpoint.tcp("127.0.0.1", 0),
                     queue_capacity=64, policy="block", block_timeout=10.0,
                     idle_timeout=30.0, housekeeping_interval=0.05)
     defaults.update(overrides)
@@ -325,7 +325,7 @@ def test_fleet_sigkill_rebalances_and_resumes_on_survivors(trained, tmp_path):
     n_streams, n_intervals = 4, 30
     fleet_config = FleetConfig(
         root=str(tmp_path / "fleet"), n_workers=2, model_path=str(model),
-        worker_threads=2, checkpoint_interval=0.2, ping_interval=0.2,
+        checkpoint_interval=0.2, ping_interval=0.2,
         max_restarts=0, log_level="error")
     retry = RetryPolicy(max_attempts=8, base_delay=0.1, max_delay=1.0,
                         request_timeout=10.0)

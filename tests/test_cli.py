@@ -56,7 +56,7 @@ def test_parser_has_all_subcommands():
 def test_serve_parser_defaults():
     args = build_parser().parse_args(["serve"])
     assert args.policy == "block"
-    assert args.workers == 4
+    assert not hasattr(args, "workers")  # one classify thread, no knob
     assert not args.selftest
     args = build_parser().parse_args(
         ["serve", "--policy", "drop-oldest", "--queue", "8", "--selftest"])

@@ -375,7 +375,7 @@ def trained():
 
 
 def worker_config(worker_id: str, **overrides) -> ServerConfig:
-    defaults = dict(endpoint=Endpoint.tcp("127.0.0.1", 0), workers=2,
+    defaults = dict(endpoint=Endpoint.tcp("127.0.0.1", 0),
                     queue_capacity=64, policy="block",
                     housekeeping_interval=0.05, worker_id=worker_id)
     defaults.update(overrides)

@@ -362,7 +362,7 @@ def test_daemon_fleet_analytics_verb_clusters_live_streams():
         generator.stream(0, 24), AnalysisConfig(kmax=4,
                                                 drop_short_final=False))
     template = OnlinePhaseTracker.from_analysis(analysis)
-    config = ServerConfig(endpoint=Endpoint.tcp("127.0.0.1", 0), workers=2)
+    config = ServerConfig(endpoint=Endpoint.tcp("127.0.0.1", 0))
     patterns = {"steady": lambda i: 0, "alternating": lambda i: 1 + i % 2}
     with PhaseMonitorServer(template, config) as server:
         for kind, pattern in patterns.items():

@@ -349,7 +349,7 @@ def test_observability_end_to_end(tmp_path):
         AnalysisConfig(kmax=4, drop_short_final=False))
     template = OnlinePhaseTracker.from_analysis(analysis)
     config = ServerConfig(
-        endpoint=Endpoint.tcp("127.0.0.1", 0), workers=2,
+        endpoint=Endpoint.tcp("127.0.0.1", 0),
         housekeeping_interval=0.05, self_heartbeat_interval=0.05,
         metrics_port=0, log_level="error")
     n_streams, n_intervals = 3, 10

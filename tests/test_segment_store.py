@@ -3,6 +3,8 @@
 import hashlib
 import io
 import random
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -362,6 +364,40 @@ def test_failed_segment_write_still_commits_the_ones_before(tmp_path):
         store.flush()
     assert store.describe()["pending_intervals"] == 4  # b's buffer kept
     assert [i for i, _ in SegmentStore(tmp_path).scan("a")] == [0, 1, 2, 3]
+
+
+def test_compactor_survives_a_failed_commit(tmp_path):
+    store = SegmentStore(tmp_path)
+    series = make_series(24)
+    real = store._write_manifest
+    failed = threading.Event()
+
+    def disk_full_once():
+        if not failed.is_set():
+            failed.set()
+            raise OSError("simulated disk full")
+        real()
+    store._write_manifest = disk_full_once
+    for i, snap in enumerate(series[:4]):
+        store.append("s", i, snap)
+    store.start_compactor(interval=0.05)
+    try:
+        assert failed.wait(timeout=5.0)
+        for i, snap in enumerate(series[4:], start=4):
+            store.append("s", i, snap)
+        deadline = time.monotonic() + 5.0
+        while (store.describe()["pending_intervals"]
+               and time.monotonic() < deadline):
+            time.sleep(0.02)
+        info = store.describe()
+        assert info["pending_intervals"] == 0
+        assert info["flushes"] >= 1
+        assert info["compactor_failures"] == 1
+        assert "simulated disk full" in info["compactor_traceback"]
+    finally:
+        store.close()
+    got = [i for i, _ in SegmentStore(tmp_path).scan("s")]
+    assert got == list(range(24))
 
 
 def test_compaction_commits_conversions_before_a_corrupt_segment(tmp_path):

@@ -1,8 +1,10 @@
 """Wire-format round-trips and malformed-input rejection."""
 
+import gc
 import io
 import json
 import struct
+import warnings
 
 import pytest
 
@@ -185,3 +187,18 @@ def test_endpoint_parse_garbage_rejected():
         Endpoint.parse("not-an-endpoint")
     with pytest.raises(ProtocolError):
         Endpoint(kind="carrier-pigeon")
+
+
+@pytest.mark.socket
+def test_failed_unix_dials_leave_no_socket_open(tmp_path):
+    """Dial retries and readiness pings against a daemon that is not
+    listening yet must not leak one socket per attempt."""
+    endpoint = Endpoint.unix(str(tmp_path / "not-listening.sock"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for _ in range(5):
+            with pytest.raises(OSError):
+                endpoint.connect(timeout=1.0)
+        gc.collect()
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)] == []

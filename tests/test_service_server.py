@@ -5,7 +5,10 @@ module carries the ``socket`` marker so restricted environments can
 deselect it with ``-m "not socket"``.
 """
 
+import io
+import json
 import socket
+import sys
 import threading
 import time
 
@@ -15,7 +18,7 @@ from repro.apps import get_app
 from repro.apps.synthetic import PhaseSpec, Synthetic
 from repro.cli import main as cli_main
 from repro.core.online import NOVEL, OnlinePhaseTracker
-from repro.core.pipeline import analyze_snapshots
+from repro.core.pipeline import AnalysisConfig, analyze_snapshots
 from repro.incprof.session import Session, SessionConfig
 from repro.service import (
     Endpoint,
@@ -26,8 +29,10 @@ from repro.service import (
     publish_samples,
     publish_session,
 )
+from repro.service.exposition import parse_prometheus, render_prometheus
 from repro.service.protocol import write_message, read_message, Control
 from repro.util.errors import StreamConflictError, UnknownStreamError
+from repro.util.jsonlog import JsonLogger
 
 pytestmark = pytest.mark.socket
 
@@ -47,7 +52,7 @@ if not can_bind_loopback():  # pragma: no cover - restricted environments
 
 
 def make_config(**overrides) -> ServerConfig:
-    defaults = dict(endpoint=Endpoint.tcp("127.0.0.1", 0), workers=4,
+    defaults = dict(endpoint=Endpoint.tcp("127.0.0.1", 0),
                     queue_capacity=64, policy="block", block_timeout=10.0,
                     idle_timeout=30.0, housekeeping_interval=0.05)
     defaults.update(overrides)
@@ -212,11 +217,11 @@ def test_shutdown_via_control():
 
 
 # ----------------------------------------------------------------------
-# backpressure policies under a deliberately slow worker
+# backpressure policies under a deliberately slow classify thread
 # ----------------------------------------------------------------------
 def slow_server(policy: str) -> PhaseMonitorServer:
     server = PhaseMonitorServer(None, make_config(
-        policy=policy, queue_capacity=2, workers=1, block_timeout=10.0))
+        policy=policy, queue_capacity=2, block_timeout=10.0))
     original = server._classify_batch
 
     def dawdling(state, batch):
@@ -260,6 +265,136 @@ def test_block_policy_is_lossless_under_load():
     assert report.rejected == 0 and report.dropped_oldest == 0
     assert report.processed == report.sent
     assert stats["drops"] == 0
+
+
+# ----------------------------------------------------------------------
+# the classify thread: a failing tick, and a concurrency stress
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def synthetic_template():
+    generator = SyntheticLoadGenerator()
+    analysis = analyze_snapshots(generator.stream(0, 24),
+                                 AnalysisConfig(kmax=4, drop_short_final=False))
+    return generator, OnlinePhaseTracker.from_analysis(analysis)
+
+
+def test_failed_classify_tick_is_survived(synthetic_template):
+    generator, template = synthetic_template
+    log = io.StringIO()
+    server = PhaseMonitorServer(
+        template, make_config(),
+        logger=JsonLogger("incprofd", level="info", stream=log))
+    n = 12
+    with server:
+        with PhaseClient(server.endpoint) as client:
+            client.hello("bad")
+            tracker = server.registry.get("bad").tracker
+            real = tracker.delta_vector
+            injected = threading.Event()
+
+            def fails_once(snapshot):
+                if not injected.is_set():
+                    injected.set()
+                    raise RuntimeError("injected classify failure")
+                return real(snapshot)
+            tracker.delta_vector = fails_once
+            bad = generator.stream(9, n)
+            client.snapshot("bad", 0, bad[0])
+            deadline = time.monotonic() + 5.0
+            while (server.stats()["classify_failures"] < 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert server.stats()["classify_failures"] == 1
+            # The other streams publish while "bad" goes on.
+            load = {}
+            others = threading.Thread(target=lambda: load.update(
+                run=generator.run(server.endpoint, n_streams=4,
+                                  n_intervals=n)))
+            others.start()
+            for seq in range(1, n):
+                client.snapshot("bad", seq, bad[seq])
+            t0 = time.monotonic()
+            bye = client.bye("bad")
+            bye_seconds = time.monotonic() - t0
+            others.join(timeout=30.0)
+            assert not others.is_alive()
+        stats = server.stats()
+    assert bye.data["drained"] is True
+    assert bye_seconds < 2.0  # the block timeout is 10 s
+    assert bye.data["processed"] == n
+    assert len(bye.data["phase_sequence"]) == n - 1
+    run = load["run"]
+    assert run.sent == 4 * n and run.processed == run.sent
+    for report in run.streams.values():
+        assert report.drained and len(report.phase_sequence) == n
+    assert stats["ingest_errors"] == 1
+    assert stats["processed"] == run.sent + n - 1
+    exported = parse_prometheus(render_prometheus(stats))
+    assert exported["incprofd_classify_failures_total"] == 1.0
+    records = [json.loads(line) for line in log.getvalue().splitlines()]
+    failed = [r for r in records if r["event"] == "classify-tick-failed"]
+    assert len(failed) == 1
+    assert failed[0]["lost_intervals"] == {"bad": 1}
+    assert "Traceback" in failed[0]["traceback"]
+    assert "injected classify failure" in failed[0]["traceback"]
+
+
+def test_classify_thread_stress_matches_in_process_trackers(
+        synthetic_template, tmp_path):
+    """8 connections x 4 streams against one classify thread while the
+    checkpointer takes every stream's work_lock, with thread switches
+    forced as often as the interpreter allows."""
+    generator, template = synthetic_template
+    config = make_config(checkpoint_dir=str(tmp_path / "ckpt"),
+                         checkpoint_interval=0.005,
+                         housekeeping_interval=0.005, refit_interval=0.0)
+    n_conns, per_conn, n = 8, 4, 48
+    streams = {f"c{c}-s{k}": generator.stream(c * per_conn + k, n)
+               for c in range(n_conns) for k in range(per_conn)}
+    byes = {}
+    errors = []
+
+    def publish(conn: int) -> None:
+        ids = [f"c{conn}-s{k}" for k in range(per_conn)]
+        try:
+            with PhaseClient(server.endpoint) as client:
+                for sid in ids:
+                    client.hello(sid)
+                for seq in range(n):
+                    for sid in ids:
+                        client.snapshot(sid, seq, streams[sid][seq])
+                for sid in ids:
+                    byes[sid] = client.bye(sid).data
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(repr(exc))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with PhaseMonitorServer(template, config) as server:
+            threads = [threading.Thread(target=publish, args=(c,))
+                       for c in range(n_conns)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            stats = server.stats()
+            checkpoints = server.checkpoints.writes
+    finally:
+        sys.setswitchinterval(previous)
+    assert errors == []
+    assert checkpoints > 1
+    assert stats["processed"] == len(streams) * n
+    assert stats["classify_failures"] == 0
+    for sid, series in streams.items():
+        reference = template.spawn(zero_start=True,
+                                   adaptive=config.adaptive_config())
+        for snap in series:
+            reference.observe_snapshot(snap)
+        assert byes[sid]["drained"] is True
+        assert byes[sid]["processed"] == n
+        assert byes[sid]["phase_sequence"] == reference.phase_sequence()
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +449,7 @@ def _synthetic_bindings():
 # ----------------------------------------------------------------------
 def test_synthetic_load_many_streams():
     generator = SyntheticLoadGenerator()
-    with PhaseMonitorServer(None, make_config(workers=8)) as server:
+    with PhaseMonitorServer(None, make_config()) as server:
         load = generator.run(server.endpoint, n_streams=8, n_intervals=10)
         stats = server.stats()
     assert load.sent == 80

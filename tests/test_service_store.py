@@ -43,7 +43,7 @@ if not can_bind_loopback():  # pragma: no cover - restricted environments
 
 
 def make_config(**overrides) -> ServerConfig:
-    defaults = dict(endpoint=Endpoint.tcp("127.0.0.1", 0), workers=2,
+    defaults = dict(endpoint=Endpoint.tcp("127.0.0.1", 0),
                     queue_capacity=64, policy="block", block_timeout=10.0,
                     idle_timeout=30.0, housekeeping_interval=0.05)
     defaults.update(overrides)
@@ -177,6 +177,7 @@ def test_server_times_archive_stage_and_counts_commits(tmp_path,
     assert store["flush_seconds"] > 0.0
     assert selfhb["stages"]["archive"]["count"] > 0
     parsed = parse_prometheus(render_prometheus(stats))
-    for key in ("appends", "flushes", "commits", "flush_seconds"):
+    for key in ("appends", "flushes", "commits", "flush_seconds",
+                "compactor_failures"):
         assert parsed[f"incprofd_store_{key}_total"] == pytest.approx(
             float(store[key]))

@@ -406,8 +406,7 @@ def _server(max_protocol: int = BINARY_PROTOCOL_VERSION):
     template = OnlinePhaseTracker.from_analysis(
         analyze_snapshots(gen.stream(0, 16), AnalysisConfig(kmax=3)))
     config = ServerConfig(endpoint=Endpoint.tcp("127.0.0.1", 0),
-                          workers=1, log_level="error",
-                          max_protocol=max_protocol)
+                          log_level="error", max_protocol=max_protocol)
     return PhaseMonitorServer(template, config), gen
 
 

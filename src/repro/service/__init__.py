@@ -37,7 +37,7 @@ from repro.service.faults import (
     FaultInjector,
     FlakyEndpoint,
 )
-from repro.service.metrics import LatencyWindow, ServiceMetrics
+from repro.service.metrics import STAGES, LatencyWindow, ServiceMetrics
 from repro.service.protocol import (
     BINARY_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
@@ -56,13 +56,8 @@ from repro.service.protocol import (
     write_message,
 )
 from repro.service.registry import StreamRegistry, StreamState
-from repro.service.selfekg import SELF_STAGES, SelfInstrument
-from repro.service.tracing import (
-    TRACE_STAGES,
-    TraceRecord,
-    TraceStore,
-    new_trace_id,
-)
+from repro.service.selfekg import SelfInstrument
+from repro.service.tracing import TraceRecord, TraceStore, new_trace_id
 from repro.service.server import (
     BACKPRESSURE_POLICIES,
     BoundedStreamQueue,
@@ -79,8 +74,7 @@ __all__ = [
     "CONTENT_TYPE",
     "DashboardServer",
     "NO_RETRY",
-    "SELF_STAGES",
-    "TRACE_STAGES",
+    "STAGES",
     "BoundedStreamQueue",
     "Bye",
     "CheckpointManager",

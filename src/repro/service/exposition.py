@@ -109,9 +109,9 @@ def render_prometheus(stats: Dict[str, Any], prefix: str = "incprofd") -> str:
     stages = stats.get("stages") or {}
     if stages:
         for field, help_text in (
-            ("seconds", "Wall seconds spent in each classify pipeline stage."),
-            ("items", "Items processed by each classify pipeline stage."),
-            ("calls", "Batch invocations of each classify pipeline stage."),
+            ("seconds", "Wall seconds spent in each pipeline stage."),
+            ("items", "Items processed by each pipeline stage."),
+            ("calls", "Classify ticks that measured each pipeline stage."),
         ):
             emit(f"{prefix}_stage_{field}_total", "counter", help_text,
                  [(f'{{stage="{_escape_label(stage)}"}}', float(rec[field]))
@@ -185,16 +185,6 @@ def render_prometheus(stats: Dict[str, Any], prefix: str = "incprofd") -> str:
         emit(f"{prefix}_self_heartbeats_total", "counter",
              "Self-instrumentation heartbeat events (daemon dogfooding).",
              [("", float(selfhb["events"]))])
-    self_stages = selfhb.get("stages") or {}
-    if self_stages:
-        for field, help_text in (
-            ("seconds", "Wall seconds of the daemon's own heartbeat-"
-                        "instrumented pipeline stages."),
-            ("count", "Heartbeat count of the daemon's own pipeline stages."),
-        ):
-            emit(f"{prefix}_self_stage_{field}_total", "counter", help_text,
-                 [(f'{{stage="{_escape_label(stage)}"}}', float(rec[field]))
-                  for stage, rec in sorted(self_stages.items())])
 
     return "\n".join(lines) + "\n"
 

@@ -17,6 +17,40 @@ import numpy as np
 
 from repro.util.errors import ValidationError
 
+#: The daemon's pipeline stages: the one vocabulary of the stage ledger
+#: (``stats()["stages"]``), the trace spans and the self-heartbeat sites
+#: (id = index + 1).  New stages go at the end so existing ids keep their
+#: meaning, which is why ``dequeue`` follows ``archive``.
+STAGES = ("enqueue", "difference", "classify", "aggregate", "archive",
+          "dequeue")
+
+
+class StageClock:
+    """The lap clock of one classify tick.
+
+    Each :meth:`lap` charges the wall time since the previous lap (or
+    since the tick began) to one stage, so a tick's stages cover it with
+    no gap and no overlap.  :meth:`charge` adds time measured from
+    stamps: the ``enqueue`` and ``dequeue`` waits the classify thread
+    derives from each queue entry.  The totals then feed every sink once.
+    """
+
+    __slots__ = ("start", "seconds", "items", "_mark")
+
+    def __init__(self) -> None:
+        self.seconds: Dict[str, float] = {}
+        self.items: Dict[str, int] = {}
+        self.start = self._mark = time.perf_counter()
+
+    def charge(self, stage: str, seconds: float, items: int) -> None:
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + seconds
+        self.items[stage] = self.items.get(stage, 0) + items
+
+    def lap(self, stage: str, items: int) -> None:
+        now = time.perf_counter()
+        self.charge(stage, now - self._mark, items)
+        self._mark = now
+
 
 class LatencyWindow:
     """A bounded sliding window of latency observations (seconds).
@@ -32,11 +66,6 @@ class LatencyWindow:
         self._window: Deque[float] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self.observed = 0
-
-    def record(self, seconds: float) -> None:
-        with self._lock:
-            self._window.append(seconds)
-            self.observed += 1
 
     def record_many(self, seconds: float, count: int) -> None:
         """Record ``count`` identical observations under one lock."""
@@ -128,20 +157,12 @@ class ServiceMetrics:
             if self._first_ingest is None:
                 self._first_ingest = self._clock()
 
-    def note_processed(self, novel: bool, latency: float) -> None:
-        with self._lock:
-            self.processed += 1
-            if novel:
-                self.novel += 1
-            self._last_process = self._clock()
-        self.classify_latency.record(latency)
-
     def note_processed_batch(self, count: int, novel: int,
                              latency: float) -> None:
-        """One coalesced tick's worth of :meth:`note_processed` calls.
+        """``count`` classified intervals, ``novel`` of them novel.
 
-        ``latency`` is the per-item share, recorded once per item so the
-        latency distribution is identical to ``count`` single calls.
+        ``latency`` is the per-item share of the tick, recorded once per
+        item in the latency window.
         """
         if count <= 0:
             return
@@ -194,19 +215,27 @@ class ServiceMetrics:
         with self._lock:
             self.wrong_worker += 1
 
-    def note_stage(self, stage: str, seconds: float, items: int = 1) -> None:
-        """Accumulate wall time of one classify pipeline stage.
+    def note_stages(self, seconds: Dict[str, float],
+                    items: Dict[str, int]) -> None:
+        """One classify tick's stage totals (a :class:`StageClock`'s).
 
-        The service hot path is staged (snapshot differencing, then one
-        classification call per drained batch); per-stage totals
-        show where classify time actually goes at fleet scale.
+        Each stage's tick total is one measurement: ``calls`` counts
+        them, ``min`` and ``max`` keep the shortest and longest, and
+        ``items`` sums the intervals (or profiles, or appends) each
+        stage handled.
         """
         with self._lock:
-            rec = self.stages.setdefault(
-                stage, {"calls": 0, "items": 0, "seconds": 0.0})
-            rec["calls"] += 1
-            rec["items"] += items
-            rec["seconds"] += seconds
+            for stage, secs in seconds.items():
+                rec = self.stages.get(stage)
+                if rec is None:
+                    rec = self.stages[stage] = {
+                        "calls": 0, "items": 0, "seconds": 0.0,
+                        "min": secs, "max": secs}
+                rec["calls"] += 1
+                rec["items"] += items.get(stage, 0)
+                rec["seconds"] += secs
+                rec["min"] = min(rec["min"], secs)
+                rec["max"] = max(rec["max"], secs)
 
     # ------------------------------------------------------------------
     # reading
@@ -239,7 +268,7 @@ class ServiceMetrics:
         is composed under a single lock acquisition, so ``ingest_rate``
         is always consistent with the ``processed``/``elapsed`` values in
         the same snapshot.  (Reading the rate after releasing the lock
-        would let a concurrent ``note_processed`` slip in between, making
+        would let a concurrent ``note_processed_batch`` slip in between, making
         a stats reply disagree with itself under load.)
         """
         with self._lock:
@@ -313,7 +342,8 @@ def aggregate_worker_stats(
 ) -> Dict[str, Any]:
     """Merge per-worker ``stats()`` snapshots into one fleet view.
 
-    Counters and rates sum; queue depths and stage accounting union.
+    Counters and rates sum; queue depths union; each stage's totals
+    sum while its ``min`` and ``max`` merge by min and max.
     ``classify_latency`` is the delicate part: when every worker shipped
     its raw ``latency_window`` the merged percentiles are *exact* over
     the union and labelled ``{"kind": "merged-window"}``; otherwise the
@@ -337,10 +367,14 @@ def aggregate_worker_stats(
         for sid, depth in (stats.get("queue_depths") or {}).items():
             merged["queue_depths"][sid] = depth
         for stage, rec in (stats.get("stages") or {}).items():
-            agg = merged["stages"].setdefault(
-                stage, {"calls": 0, "items": 0, "seconds": 0.0})
+            agg = merged["stages"].get(stage)
+            if agg is None:
+                merged["stages"][stage] = dict(rec)
+                continue
             for field in ("calls", "items", "seconds"):
-                agg[field] += rec.get(field, 0)
+                agg[field] += rec[field]
+            agg["min"] = min(agg["min"], rec["min"])
+            agg["max"] = max(agg["max"], rec["max"])
         window = stats.get("latency_window")
         if isinstance(window, list):
             windows.append([float(v) for v in window])

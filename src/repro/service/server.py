@@ -72,7 +72,7 @@ from repro.service.exposition import (
     MetricsHTTPServer,
     render_prometheus,
 )
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import ServiceMetrics, StageClock
 from repro.service.protocol import (
     BINARY_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
@@ -116,13 +116,19 @@ REJECTED = "rejected"
 
 BACKPRESSURE_POLICIES = ("block", "drop-oldest", "reject")
 
+#: One queued snapshot as the classify thread pops it: the reader's
+#: ``(seq, gmon, trace_id, put_start)`` and the queue's admission time.
+Entry = Tuple[Tuple[int, GmonData, str, float], float]
+
 
 class BoundedStreamQueue:
     """A bounded FIFO with an explicit full-queue policy.
 
     ``put`` is called by reader threads, ``pop_batch`` by the classify
     thread; the condition variable couples them so the ``block`` policy
-    gives real producer backpressure rather than buffering.
+    gives real producer backpressure rather than buffering.  Each item
+    is stored with its admission time, so the consumer can tell a wait
+    for space from a wait in the queue.
     """
 
     def __init__(self, capacity: int, policy: str = "block") -> None:
@@ -152,7 +158,8 @@ class BoundedStreamQueue:
         """Admit one item under the queue's policy.
 
         Returns the admission outcome; ``block`` waits for space (up to
-        ``timeout`` seconds, then :class:`ServiceError`).
+        ``timeout`` seconds, then :class:`ServiceError`).  An admitted
+        item is stamped with ``time.perf_counter()`` as it is appended.
         """
         with self._cv:
             if self.policy == "block":
@@ -164,7 +171,7 @@ class BoundedStreamQueue:
                     self._cv.wait(remaining)
                 if self._closed:
                     raise ServiceError("queue closed")
-                self._items.append(item)
+                self._items.append((item, time.perf_counter()))
                 self._cv.notify_all()
                 return ACCEPTED
             if self._closed:
@@ -172,14 +179,15 @@ class BoundedStreamQueue:
             if len(self._items) >= self.capacity:
                 if self.policy == "drop-oldest":
                     self._items.popleft()
-                    self._items.append(item)
+                    self._items.append((item, time.perf_counter()))
                     return DROPPED_OLDEST
                 return REJECTED
-            self._items.append(item)
+            self._items.append((item, time.perf_counter()))
             return ACCEPTED
 
-    def pop_batch(self, max_items: int) -> List[Any]:
-        """Dequeue up to ``max_items`` (may be empty), waking producers."""
+    def pop_batch(self, max_items: int) -> List[Tuple[Any, float]]:
+        """Dequeue up to ``max_items`` ``(item, admitted_at)`` pairs (may
+        be empty), waking producers."""
         with self._cv:
             batch = [self._items.popleft()
                      for _ in range(min(max_items, len(self._items)))]
@@ -875,31 +883,26 @@ class PhaseMonitorServer:
         # admitted interval has a trace id, client-supplied or not.
         trace_id = msg.trace_id or new_trace_id()
         self.traces.begin(trace_id, msg.stream_id, msg.seq)
-        t0 = time.perf_counter()
+        # Only a stamp here: the classify thread times an admitted
+        # snapshot's enqueue and dequeue from this and the queue's
+        # admission stamp.
+        put_start = time.perf_counter()
+        error = "queue full"
         try:
-            outcome = state.queue.put((msg.seq, msg.gmon, trace_id, t0),
-                                      timeout=self.config.block_timeout)
+            outcome = state.queue.put(
+                (msg.seq, msg.gmon, trace_id, put_start),
+                timeout=self.config.block_timeout)
         except ServiceError as exc:
-            self.traces.add_span(trace_id, "enqueue",
-                                 time.perf_counter() - t0)
-            self.metrics.note_rejected()
-            with state.lock:
-                state.rejected += 1
-            return Reply(ok=False, error=str(exc),
-                         data={"outcome": REJECTED, "seq": msg.seq,
-                               "trace": trace_id,
-                               "code": BackpressureError.code})
-        enqueue_seconds = time.perf_counter() - t0
-        self.traces.add_span(trace_id, "enqueue", enqueue_seconds)
-        if self.selfekg is not None:
-            self.selfekg.record("ingest", enqueue_seconds)
+            outcome, error = REJECTED, str(exc)
         if outcome == REJECTED:
+            self.traces.add_span(trace_id, "enqueue",
+                                 time.perf_counter() - put_start)
             self.metrics.note_rejected()
             with state.lock:
                 state.rejected += 1
             # Every snapshot reply echoes its sequence number so a
             # pipelined publisher can line acks up with sends.
-            return Reply(ok=False, error="queue full",
+            return Reply(ok=False, error=error,
                          data={"outcome": REJECTED, "seq": msg.seq,
                                "trace": trace_id,
                                "code": BackpressureError.code})
@@ -1120,9 +1123,7 @@ class PhaseMonitorServer:
                     else:
                         st.scheduled = False
 
-    def _fail_tick(
-        self, work: List[Tuple[StreamState, List[Tuple[int, GmonData, str, float]]]],
-    ) -> None:
+    def _fail_tick(self, work: List[Tuple[StreamState, List[Entry]]]) -> None:
         """Account a classify tick that raised, from its ``except`` block.
 
         Every interval the tick had not committed counts as an ingest
@@ -1133,7 +1134,7 @@ class PhaseMonitorServer:
         self.metrics.note_classify_failure()
         lost: Dict[str, int] = {}
         for state, batch in work:
-            last_seq = batch[-1][0]
+            (last_seq, *_rest), _admitted = batch[-1]
             with state.lock:
                 # A stream committed before the exception has already
                 # advanced its resume anchor past this batch.
@@ -1148,15 +1149,12 @@ class PhaseMonitorServer:
                        lost_intervals=lost,
                        traceback=traceback.format_exc())
 
-    def _classify_batch(self, state: StreamState,
-                        batch: List[Tuple[int, GmonData, str, float]]) -> None:
+    def _classify_batch(self, state: StreamState, batch: List[Entry]) -> None:
         """Classify one drained batch of a single stream's snapshots."""
         with state.work_lock:
             self._classify_work_locked([(state, batch)])
 
-    def _classify_many(
-        self, work: List[Tuple[StreamState, List[Tuple[int, GmonData, str, float]]]],
-    ) -> None:
+    def _classify_many(self, work: List[Tuple[StreamState, List[Entry]]]) -> None:
         """Classify drained batches of one or more streams in one tick.
 
         The single-stream case routes through :meth:`_classify_batch` so
@@ -1180,7 +1178,7 @@ class PhaseMonitorServer:
                 state.work_lock.release()
 
     def _classify_work_locked(
-        self, work: List[Tuple[StreamState, List[Tuple[int, GmonData, str, float]]]],
+        self, work: List[Tuple[StreamState, List[Entry]]],
     ) -> None:
         """Difference + classify + commit for one coalesced classify tick.
 
@@ -1192,19 +1190,22 @@ class PhaseMonitorServer:
         NumPy distance computation.  Each batch runs under its stream's
         ``work_lock`` so a concurrent checkpoint never captures the
         differencer advanced past the recorded history.
+
+        One :class:`StageClock` times the tick, and its totals feed
+        every sink once: the stage ledger, one self-heartbeat beat per
+        stage, and each interval's trace spans (its own ``enqueue`` and
+        ``dequeue`` waits, and an equal share of the tick's laps).
         """
-        start = time.perf_counter()
-        total_items = 0
-        preps: List[Tuple[StreamState, List[Tuple[int, GmonData, str, float]],
-                          List[Any], int]] = []
+        clock = StageClock()
+        n_items = sum(len(batch) for _state, batch in work)
+        preps: List[Tuple[StreamState, List[Entry], List[Any], int]] = []
         for state, batch in work:
-            total_items += len(batch)
             errors = 0
             # Universe-projected delta vectors (see delta_vector) — the
             # classify pass consumes them without re-vectorizing.
             profiles: List[Any] = []
             if state.tracker is not None:
-                for _seq, gmon, _tid, _enq in batch:
+                for (_seq, gmon, _tid, _put), _admitted in batch:
                     try:
                         if isinstance(gmon, GmonBlob):
                             gmon = gmon.load()
@@ -1218,24 +1219,16 @@ class PhaseMonitorServer:
                     if profile is not None:
                         profiles.append(profile)
             preps.append((state, batch, profiles, errors))
-        diffed = time.perf_counter()
-        diff_seconds = diffed - start
+        clock.lap("difference", n_items)
         groups = [(state.tracker, profiles)
                   for state, _batch, profiles, _err in preps
                   if state.tracker is not None]
         tracked_groups = classify_across(groups)
-        classify_seconds = time.perf_counter() - diffed
-        if groups:
-            self.metrics.note_stage("difference", diff_seconds, total_items)
-            self.metrics.note_stage(
-                "classify", classify_seconds,
-                sum(len(profiles) for _trk, profiles in groups))
-        end = time.perf_counter()
+        clock.lap("classify", sum(len(profiles) for _trk, profiles in groups))
         total_counted = sum(len(batch) - errors
                             for _s, batch, _p, errors in preps)
-        per_item = (end - start) / max(1, total_counted)
-        archive_seconds = 0.0
-        archived = 0
+        per_item = ((clock.seconds["difference"] + clock.seconds["classify"])
+                    / max(1, total_counted))
         tracked_iter = iter(tracked_groups)
         for state, batch, _profiles, errors in preps:
             tracked: List[Any] = (list(next(tracked_iter))
@@ -1254,40 +1247,31 @@ class PhaseMonitorServer:
                 # stream has actually consumed (checkpoints persist
                 # exactly this).
                 state.processed_seq = max(state.processed_seq,
-                                          max(item[0] for item in batch))
+                                          max(entry[0] for entry, _t in batch))
+            clock.lap("aggregate", len(batch))
             if self.store is not None:
-                a0 = time.perf_counter()
-                archived += self._archive_batch(state, batch)
-                archive_seconds += time.perf_counter() - a0
-        aggregate_seconds = time.perf_counter() - end - archive_seconds
-        self.metrics.note_stage("aggregate", aggregate_seconds, total_items)
-        if self.store is not None:
-            self.metrics.note_stage("archive", archive_seconds, archived)
-        if self.selfekg is not None:
-            if groups:
-                self.selfekg.record("difference", diff_seconds)
-                self.selfekg.record("classify", classify_seconds)
-            self.selfekg.record("aggregate", aggregate_seconds)
-            if self.store is not None:
-                self.selfekg.record("archive", archive_seconds)
-        # Per-item share of the batched stages closes out each trace.
-        # Spans land in one batched call — the dequeue span (submission
-        # to drain, measured against this tick's start) included — so
-        # the trace store's lock is taken once per tick, not four times
-        # per interval.
-        # The trace's aggregate span still covers the archive append.
-        classify_share = (end - start) / max(1, total_items)
-        aggregate_share = ((aggregate_seconds + archive_seconds)
-                           / max(1, total_items))
+                clock.lap("archive", self._archive_batch(state, batch))
+        # Every trace gets an equal share of each lap, so the spans of a
+        # tick's traces sum to exactly what the other sinks receive.
+        shares = [(stage, seconds / max(1, n_items))
+                  for stage, seconds in clock.seconds.items()]
+        enqueued = dequeued = 0.0
         closes: List[Tuple[str, List[Tuple[str, float]]]] = []
         origins: List[Tuple[StreamState, int]] = []
         for state, batch, _profiles, _errors in preps:
-            for seq, _gmon, trace_id, enq_time in batch:
-                closes.append((trace_id,
-                               [("dequeue", max(0.0, start - enq_time)),
-                                ("classify", classify_share),
-                                ("aggregate", aggregate_share)]))
+            for (seq, _gmon, trace_id, put_start), admitted in batch:
+                enqueue = admitted - put_start
+                dequeue = clock.start - admitted
+                enqueued += enqueue
+                dequeued += dequeue
+                closes.append((trace_id, [("enqueue", enqueue),
+                                          ("dequeue", dequeue), *shares]))
                 origins.append((state, seq))
+        clock.charge("enqueue", enqueued, n_items)
+        clock.charge("dequeue", dequeued, n_items)
+        self.metrics.note_stages(clock.seconds, clock.items)
+        if self.selfekg is not None:
+            self.selfekg.record(clock.seconds)
         for (state, seq), record in zip(origins,
                                         self.traces.finish_batch(closes)):
             if (record is not None
@@ -1300,10 +1284,7 @@ class PhaseMonitorServer:
                     spans={k: round(v, 6)
                            for k, v in record.spans.items()})
 
-    def _archive_batch(
-        self, state: StreamState,
-        batch: List[Tuple[int, GmonData, str, float]],
-    ) -> int:
+    def _archive_batch(self, state: StreamState, batch: List[Entry]) -> int:
         """Append one classified batch's raw gmon bytes to the archive;
         return how many intervals were appended.
 
@@ -1318,7 +1299,7 @@ class PhaseMonitorServer:
         if store is None:
             return 0
         archived = 0
-        for seq, gmon, _trace_id, _enq in batch:
+        for (seq, gmon, _trace_id, _put), _admitted in batch:
             try:
                 if isinstance(gmon, GmonBlob):
                     store.append(state.stream_id, seq, gmon.load(),
@@ -1452,7 +1433,7 @@ class PhaseMonitorServer:
         snap["traces"] = self.traces.stats()
         self._fleet_fields(snap)
         if self.selfekg is not None:
-            snap["self_heartbeats"] = self.selfekg.stage_summary()
+            snap["self_heartbeats"] = {"events": self.selfekg.events}
         if self.metrics_http is not None:
             snap["metrics_url"] = self.metrics_http.url
         if self.dashboard_http is not None:

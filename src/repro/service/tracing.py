@@ -3,13 +3,9 @@
 Every snapshot submission gets a *trace id* — minted by the publisher
 (:func:`repro.service.client.publish_samples`) or, for untraced
 publishers, by the server on admission — that follows the interval
-through the pipeline.  Each stage appends a *span* (its wall time in
-seconds):
-
-``enqueue``    admission into the stream's bounded queue (reader thread)
-``dequeue``    time waiting in the queue until the classify thread drained it
-``classify``   differencing + phase classification (classify thread)
-``aggregate``  counter/metric aggregation after classification
+through the pipeline.  Each stage of :data:`~repro.service.metrics.STAGES`
+adds a *span* (its wall time in seconds); the classify thread closes a
+trace with all of them at once (see ``docs/OBSERVABILITY.md``).
 
 The store is a bounded ring — a long-lived daemon answering ``trace``
 requests must not grow without bound — and its rows are JSON-ready so
@@ -24,10 +20,8 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.service.metrics import STAGES
 from repro.util.errors import ValidationError
-
-#: Pipeline stages, in order; a completed trace has one span for each.
-TRACE_STAGES = ("enqueue", "dequeue", "classify", "aggregate")
 
 
 def new_trace_id() -> str:
@@ -71,8 +65,8 @@ class TraceRecord:
 class TraceStore:
     """Thread-safe bounded ring of trace records, keyed by trace id.
 
-    Reader threads begin traces and record the enqueue span; the classify
-    thread adds the remaining spans and marks completion.  When the ring
+    Reader threads begin traces; the classify thread adds every span and
+    marks completion.  When the ring
     is full the oldest trace is evicted — recency is what an operator
     debugging a live daemon needs.
     """
@@ -106,22 +100,13 @@ class TraceStore:
     def add_span(self, trace_id: str, stage: str, seconds: float) -> None:
         """Record one stage's wall time (unknown traces are ignored —
         the ring may have evicted them under sustained load)."""
-        if stage not in TRACE_STAGES:
+        if stage not in STAGES:
             raise ValidationError(
-                f"unknown trace stage {stage!r} (expected one of {TRACE_STAGES})")
+                f"unknown trace stage {stage!r} (expected one of {STAGES})")
         with self._lock:
             record = self._records.get(trace_id)
             if record is not None:
                 record.spans[stage] = record.spans.get(stage, 0.0) + seconds
-
-    def complete(self, trace_id: str) -> Optional[TraceRecord]:
-        """Mark a trace finished; returns it so callers can slow-op check."""
-        with self._lock:
-            record = self._records.get(trace_id)
-            if record is not None and not record.completed:
-                record.completed = True
-                self.finished += 1
-            return record
 
     def finish_batch(
         self, items: List[Tuple[str, List[Tuple[str, float]]]],
@@ -129,17 +114,17 @@ class TraceStore:
         """Add final spans and complete many traces under one lock.
 
         A coalesced classify tick closes out every interval it
-        classified in a single call — the per-interval lock round-trips
-        of ``add_span``/``complete`` are what this batches away.  Span
-        stages are validated exactly as :meth:`add_span`; an evicted
-        trace yields ``None`` in its result slot.
+        classified in a single call, so the trace store's lock is taken
+        once per tick.  Span stages are validated exactly as
+        :meth:`add_span`; an evicted trace yields ``None`` in its result
+        slot (callers slow-op check the others).
         """
         for _trace_id, spans in items:
             for stage, _seconds in spans:
-                if stage not in TRACE_STAGES:
+                if stage not in STAGES:
                     raise ValidationError(
                         f"unknown trace stage {stage!r} "
-                        f"(expected one of {TRACE_STAGES})")
+                        f"(expected one of {STAGES})")
         out: List[Optional[TraceRecord]] = []
         with self._lock:
             for trace_id, spans in items:
@@ -212,7 +197,7 @@ class TraceStore:
                                      int(obj.get("seq", -1)))
                 spans = obj.get("spans") or {}
                 record.spans = {str(k): float(v) for k, v in spans.items()
-                                if str(k) in TRACE_STAGES}
+                                if str(k) in STAGES}
                 record.completed = bool(obj.get("completed", False))
             except (KeyError, TypeError, ValueError):
                 continue

@@ -218,11 +218,14 @@ def free_port() -> int:
 def spawn_daemon(model: Path, ckpt: Path, port: int) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--model", str(model),
-         "--port", str(port), "--checkpoint-dir", str(ckpt),
-         "--checkpoint-interval", "0.1"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    # The daemon's log goes to a file next to its checkpoints: an unread
+    # pipe would leak and could fill up and block the daemon's writes.
+    with open(ckpt.parent / "daemon.log", "ab") as log:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--model", str(model),
+             "--port", str(port), "--checkpoint-dir", str(ckpt),
+             "--checkpoint-interval", "0.1"],
+            env=env, stdout=log, stderr=subprocess.STDOUT)
     endpoint = Endpoint.tcp("127.0.0.1", port)
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
@@ -235,6 +238,7 @@ def spawn_daemon(model: Path, ckpt: Path, port: int) -> subprocess.Popen:
         except Exception:
             time.sleep(0.1)
     proc.kill()
+    proc.wait(timeout=10)
     raise RuntimeError("daemon did not come up")
 
 

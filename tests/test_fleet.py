@@ -174,7 +174,7 @@ class TestStatsMerging:
     def test_single_daemon_percentiles_are_labelled_exact(self):
         metrics = ServiceMetrics()
         for v in (0.001, 0.002, 0.003):
-            metrics.classify_latency.record(v)
+            metrics.classify_latency.record_many(v, 1)
         snap = metrics.snapshot()
         assert snap["classify_latency_source"]["kind"] == "exact"
 

@@ -344,6 +344,7 @@ def test_dashboard_server_serves_report():
             assert resp.status == 200
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(srv.url + "nope", timeout=10)
+        err.value.close()  # an HTTPError holds the response's socket
         assert err.value.code == 404
 
 

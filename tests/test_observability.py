@@ -9,6 +9,7 @@ import json
 import math
 import socket
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -18,12 +19,13 @@ from repro.core.pipeline import AnalysisConfig, analyze_snapshots
 from repro.heartbeat.analysis import phase_assignment, series_from_records
 from repro.heartbeat.output import CSVSink, read_csv_records
 from repro.service import (
+    STAGES,
+    BoundedStreamQueue,
     Endpoint,
     PhaseClient,
     PhaseMonitorServer,
     ServerConfig,
     SyntheticLoadGenerator,
-    TRACE_STAGES,
     parse_prometheus,
     publish_samples,
     render_prometheus,
@@ -31,13 +33,17 @@ from repro.service import (
 from repro.service.exposition import MetricsHTTPServer
 from repro.service.selfekg import (
     SELF_RANK,
+    SELF_RECORD_RING,
     SELF_STAGE_LABELS,
-    SELF_STAGES,
     SelfInstrument,
 )
 from repro.service.tracing import TraceStore, new_trace_id
 from repro.util.errors import ValidationError
 from repro.util.jsonlog import JsonLogger, NullLogger
+
+
+#: The spans of a completed trace on a daemon without an archive.
+STORELESS_SPANS = set(STAGES) - {"archive"}
 
 
 def can_bind_loopback() -> bool:
@@ -102,14 +108,14 @@ def test_trace_lifecycle_records_all_spans():
     store = TraceStore(capacity=8)
     tid = new_trace_id()
     store.begin(tid, "s1", 3)
-    for stage in TRACE_STAGES:
-        store.add_span(tid, stage, 0.25)
-    record = store.complete(tid)
+    store.add_span(tid, "enqueue", 0.25)
+    [record] = store.finish_batch([(tid, [(stage, 0.25)
+                                          for stage in STAGES[1:]])])
     assert record is not None and record.completed
     row = store.get(tid)
     assert row["stream_id"] == "s1" and row["seq"] == 3
-    assert set(row["spans"]) == set(TRACE_STAGES)
-    assert row["total_seconds"] == pytest.approx(1.0)
+    assert set(row["spans"]) == set(STAGES)
+    assert row["total_seconds"] == pytest.approx(0.25 * len(STAGES))
     assert store.stats() == {"stored": 1, "started": 1, "finished": 1,
                              "evicted": 0}
 
@@ -137,7 +143,7 @@ def test_trace_rows_filter_and_order():
     store = TraceStore()
     for i in range(3):
         store.begin(f"t{i}", "a" if i < 2 else "b", i)
-    store.complete("t0")
+    store.finish_batch([("t0", [])])
     rows = store.rows(stream_id="a")
     assert [r["trace_id"] for r in rows] == ["t1", "t0"]  # recent first
     assert [r["trace_id"] for r in store.rows(completed_only=True)] == ["t0"]
@@ -148,7 +154,7 @@ def test_trace_export_restore_round_trip():
     store = TraceStore()
     store.begin("t1", "s", 0)
     store.add_span("t1", "enqueue", 0.5)
-    store.complete("t1")
+    store.finish_batch([("t1", [])])
     clone = TraceStore()
     assert clone.restore_rows(store.export_rows()) == 1
     assert clone.get("t1")["spans"] == {"enqueue": 0.5}
@@ -240,15 +246,14 @@ def test_render_prometheus_analytics_gauges():
 def test_selfekg_flushes_stage_records_with_self_rank():
     fake = [0.0]
     inst = SelfInstrument(interval=1.0, clock=lambda: fake[0])
-    inst.record("ingest", 0.2)
-    inst.record("classify", 0.1)
+    inst.record({"enqueue": 0.2, "classify": 0.1})
     fake[0] = 2.5
     inst.tick()
     records = inst.records
     assert records, "tick must flush completed intervals"
     assert all(r.rank == SELF_RANK for r in records)
     assert {r.hb_id for r in records} <= {i + 1
-                                          for i in range(len(SELF_STAGES))}
+                                          for i in range(len(STAGES))}
 
 
 def test_selfekg_concurrent_records_never_violate_ordering():
@@ -258,33 +263,37 @@ def test_selfekg_concurrent_records_never_violate_ordering():
 
     def hammer(stage):
         for _ in range(200):
-            inst.record(stage, 0.0001)
+            inst.record({stage: 0.0001})
 
     threads = [threading.Thread(target=hammer, args=(s,))
-               for s in SELF_STAGES]
+               for s in STAGES]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
     inst.tick()
-    assert inst.events == 200 * len(SELF_STAGES)
+    assert inst.events == 200 * len(STAGES)
 
 
-def test_selfekg_stage_summary_minimum_not_clobbered():
+def test_selfekg_keeps_a_bounded_ring_of_records():
+    """Five stages beating each second for 10,000 simulated seconds: the
+    instrument keeps only the newest SELF_RECORD_RING records, and the
+    daemon's stats() carries the event count, no per-record history."""
     fake = [0.0]
     inst = SelfInstrument(interval=1.0, clock=lambda: fake[0])
-    inst.record("ingest", 0.5)
-    fake[0] = 1.5
-    inst.record("ingest", 0.3)
-    fake[0] = 3.0
+    laps = {stage: 0.001 for stage in STAGES[:5]}
+    for second in range(10_000):
+        fake[0] = second + 0.5
+        inst.record(laps)
+    fake[0] = 10_001.0
     inst.tick()
-    summary = inst.stage_summary()
-    ingest = summary["stages"]["ingest"]
-    assert ingest["count"] == pytest.approx(2.0)
-    # Two intervals, minima 0.5 and 0.3: the merged lifetime minimum is
-    # 0.3 — a zero-default merge would have reported 0.0.
-    assert ingest["min"] == pytest.approx(0.3)
-    assert summary["events"] == 2
+    records = inst.records
+    assert len(records) == SELF_RECORD_RING < 5 * 10_000
+    assert records[-1].interval_index == 9_999
+    assert inst.events == 5 * 10_000
+    server = PhaseMonitorServer(None, ServerConfig(log_level="error"))
+    server.selfekg = inst
+    assert server.stats()["self_heartbeats"] == {"events": 5 * 10_000}
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +387,8 @@ def test_observability_end_to_end(tmp_path):
             thread.join()
 
         with PhaseClient(server.endpoint) as client:
-            # (a) every submitted interval's trace id has all four spans.
+            # (a) every submitted interval's trace id has a span for each
+            # stage (no archive on this daemon).
             for i, report in reports.items():
                 assert report.error == ""
                 assert set(report.trace_ids) == set(range(n_intervals))
@@ -388,7 +398,7 @@ def test_observability_end_to_end(tmp_path):
                     assert row["stream_id"] == f"obs-{i}"
                     assert row["seq"] == seq
                     assert row["completed"]
-                    assert set(row["spans"]) == set(TRACE_STAGES)
+                    assert set(row["spans"]) == STORELESS_SPANS
                     assert row["total_seconds"] >= 0.0
                 # Stream-scoped query sees this stream's traces too.
                 scoped = client.trace(stream_id=f"obs-{i}",
@@ -445,7 +455,98 @@ def test_trace_survives_checkpoint_restart(tmp_path):
             for seq, trace_id in trace_ids.items():
                 row = client.trace(trace_id=trace_id).data["traces"][0]
                 assert row["seq"] == seq
-                assert set(row["spans"]) == set(TRACE_STAGES)
+                assert set(row["spans"]) == STORELESS_SPANS
+
+
+def wait_for_traces(server, count, timeout=10.0):
+    """Block until ``count`` traces are complete.  A trace closes after
+    its stream commits, so ``bye`` can answer just before the last tick
+    has fed its sinks."""
+    deadline = time.monotonic() + timeout
+    while (server.traces.stats()["finished"] < count
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    return server.traces.rows(completed_only=True)
+
+
+@pytest.mark.socket
+def test_every_sink_reports_the_same_stage_seconds(tmp_path):
+    """One lap clock feeds the stage ledger, the self-heartbeats and the
+    traces, so all three report the same seconds for every stage."""
+    if not can_bind_loopback():
+        pytest.skip("cannot bind loopback sockets here")
+    generator = SyntheticLoadGenerator()
+    analysis = analyze_snapshots(
+        generator.stream(0, 24),
+        AnalysisConfig(kmax=4, drop_short_final=False))
+    template = OnlinePhaseTracker.from_analysis(analysis)
+    config = ServerConfig(
+        endpoint=Endpoint.tcp("127.0.0.1", 0),
+        store_dir=str(tmp_path / "store"), housekeeping_interval=0.05,
+        self_heartbeat_interval=0.05, log_level="error")
+    n_streams, n_intervals = 3, 30
+    reports = {}
+    with PhaseMonitorServer(template, config) as server:
+
+        def publish(i):
+            reports[i] = publish_samples(
+                server.endpoint, f"sink-{i}",
+                generator.stream(i, n_intervals), app="sink", rank=i)
+
+        threads = [threading.Thread(target=publish, args=(i,))
+                   for i in range(n_streams)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        traces = wait_for_traces(server, n_streams * n_intervals)
+        # Quiet: let a whole self-heartbeat interval pass with no beat,
+        # then flush it.
+        time.sleep(0.2)
+        server.selfekg.tick()
+        ledger = server.stats()["stages"]
+        records = server.selfekg.records
+    assert all(report.error == "" for report in reports.values())
+    assert len(traces) == n_streams * n_intervals
+    for row in traces:
+        assert set(row["spans"]) == set(STAGES)
+    assert set(ledger) == set(STAGES)
+    for stage in STAGES:
+        seconds = ledger[stage]["seconds"]
+        beats = sum(r.count * r.avg_duration for r in records
+                    if SELF_STAGE_LABELS[r.hb_id] == stage)
+        spans = sum(row["spans"][stage] for row in traces)
+        assert seconds > 0.0
+        assert beats == pytest.approx(seconds, rel=1e-6), stage
+        assert spans == pytest.approx(seconds, rel=1e-6), stage
+        assert 0.0 < ledger[stage]["min"] <= ledger[stage]["max"] <= seconds
+
+
+@pytest.mark.socket
+def test_block_wait_counts_once_in_a_trace(monkeypatch):
+    """A put that waits before admission shows the wait in ``enqueue``
+    alone: ``dequeue`` runs from admission to the classify tick."""
+    if not can_bind_loopback():
+        pytest.skip("cannot bind loopback sockets here")
+    admit = BoundedStreamQueue.put
+
+    def slow_put(self, item, timeout=None):
+        time.sleep(0.2)
+        return admit(self, item, timeout=timeout)
+
+    monkeypatch.setattr(BoundedStreamQueue, "put", slow_put)
+    generator = SyntheticLoadGenerator()
+    config = ServerConfig(endpoint=Endpoint.tcp("127.0.0.1", 0),
+                          self_heartbeat_interval=None, log_level="error")
+    with PhaseMonitorServer(None, config) as server:
+        report = publish_samples(server.endpoint, "slow",
+                                 generator.stream(0, 4), app="x")
+        traces = wait_for_traces(server, 4)
+    assert report.error == ""
+    assert len(traces) == 4
+    for row in traces:
+        assert row["spans"]["enqueue"] >= 0.2
+        assert row["spans"]["dequeue"] < 0.1
 
 
 @pytest.mark.socket

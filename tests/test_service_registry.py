@@ -129,7 +129,7 @@ def test_phase_occupancy_includes_finished_streams():
 def test_latency_window_is_bounded():
     window = LatencyWindow(capacity=10)
     for i in range(100):
-        window.record(float(i))
+        window.record_many(float(i), 1)
     assert window.observed == 100
     pct = window.percentiles()
     # only the last 10 observations (90..99) remain
@@ -147,15 +147,14 @@ def test_metrics_ingest_rate_with_fake_clock():
     assert metrics.ingest_rate() == 0.0
     metrics.note_ingested()
     clock.advance(2.0)
-    for _ in range(10):
-        metrics.note_processed(novel=False, latency=0.001)
+    metrics.note_processed_batch(count=10, novel=0, latency=0.001)
     assert metrics.ingest_rate() == pytest.approx(5.0)
 
 
 def test_metrics_snapshot_counts():
     metrics = ServiceMetrics()
     metrics.note_ingested(3)
-    metrics.note_processed(novel=True, latency=0.01)
+    metrics.note_processed_batch(count=1, novel=1, latency=0.01)
     metrics.note_dropped_oldest()
     metrics.note_rejected(2)
     metrics.note_heartbeats(7)
@@ -177,12 +176,27 @@ def test_queue_validates_arguments():
         BoundedStreamQueue(4, policy="yolo")
 
 
+def popped(q, max_items):
+    """The items of one ``pop_batch``, without their admission stamps."""
+    return [item for item, _admitted in q.pop_batch(max_items)]
+
+
+def test_queue_stamps_admission_time():
+    q = BoundedStreamQueue(4)
+    before = time.perf_counter()
+    q.put("a")
+    q.put("b")
+    (a, admitted_a), (b, admitted_b) = q.pop_batch(10)
+    assert (a, b) == ("a", "b")
+    assert before <= admitted_a <= admitted_b <= time.perf_counter()
+
+
 def test_reject_policy():
     q = BoundedStreamQueue(2, policy="reject")
     assert q.put(1) == ACCEPTED
     assert q.put(2) == ACCEPTED
     assert q.put(3) == REJECTED
-    assert q.pop_batch(10) == [1, 2]
+    assert popped(q, 10) == [1, 2]
     assert q.put(3) == ACCEPTED
 
 
@@ -191,7 +205,7 @@ def test_drop_oldest_policy():
     q.put("a")
     q.put("b")
     assert q.put("c") == DROPPED_OLDEST
-    assert q.pop_batch(10) == ["b", "c"]
+    assert popped(q, 10) == ["b", "c"]
 
 
 def test_block_policy_waits_for_consumer():
@@ -206,10 +220,10 @@ def test_block_policy_waits_for_consumer():
     thread.start()
     time.sleep(0.05)
     assert not outcomes  # producer is parked on the full queue
-    assert q.pop_batch(1) == ["first"]
+    assert popped(q, 1) == ["first"]
     thread.join(timeout=5.0)
     assert outcomes == [ACCEPTED]
-    assert q.pop_batch(1) == ["second"]
+    assert popped(q, 1) == ["second"]
 
 
 def test_block_policy_times_out():

@@ -23,6 +23,7 @@ from repro.service import (
     publish_samples,
     render_prometheus,
 )
+from repro.service.selfekg import SELF_STAGE_IDS
 from repro.store.segments import SegmentStore
 
 pytestmark = pytest.mark.socket
@@ -163,11 +164,12 @@ def test_server_times_archive_stage_and_counts_commits(tmp_path,
             server.store.flush()
         server.store.flush()  # nothing pending: neither flush nor commit
         deadline = time.monotonic() + 10.0
-        while ("archive" not in server.selfekg.stage_summary()["stages"]
-               and time.monotonic() < deadline):
+        archive_beats = []
+        while not archive_beats and time.monotonic() < deadline:
             time.sleep(0.05)
+            archive_beats = [r for r in server.selfekg.records
+                             if r.hb_id == SELF_STAGE_IDS["archive"]]
         stats = server.stats()
-        selfhb = server.selfekg.stage_summary()
 
     store = stats["store"]
     assert store["appends"] == 2 * len(samples)
@@ -175,7 +177,7 @@ def test_server_times_archive_stage_and_counts_commits(tmp_path,
     assert store["flushes"] > len(samples) // 8
     assert store["commits"] == store["flushes"]
     assert store["flush_seconds"] > 0.0
-    assert selfhb["stages"]["archive"]["count"] > 0
+    assert sum(r.count for r in archive_beats) > 0
     parsed = parse_prometheus(render_prometheus(stats))
     for key in ("appends", "flushes", "commits", "flush_seconds",
                 "compactor_failures"):

@@ -2,9 +2,11 @@
 
 The paper's pitch is *incremental* profiling, and this module makes the
 analysis side live up to it: an :class:`IncrementalAnalyzer` accepts
-cumulative gmon snapshots **one at a time**, appends one interval row
-per snapshot via incremental differencing (no O(n^2) re-diff of the
-whole series), and maintains a live phase model between full fits.
+cumulative gmon snapshots **one at a time**, stores each as one
+cumulative row of a :class:`~repro.core.intervals.Differencer` (the one
+differencing path; an interval is the clamped difference of two
+consecutive rows, so there is no O(n^2) re-diff of the whole series),
+and maintains a live phase model between full fits.
 
 That live model is :class:`LiveModel`, the one engine behind every
 streaming path: the analyzer here and the daemon's per-stream
@@ -16,7 +18,7 @@ looking like the model.
 
 Batch analysis is the degenerate case: feed every snapshot, then
 :meth:`IncrementalAnalyzer.finalize`, which assembles the accumulated
-delta rows through the same :func:`~repro.core.intervals.assemble_interval_data`
+rows through the same :func:`~repro.core.intervals.assemble_interval_data`
 helper the batch path uses and runs the full pipeline — so
 ``analyze_snapshots`` (now a thin driver over this engine) returns
 results identical to the historical implementation.
@@ -37,7 +39,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.intervals import assemble_interval_data
+from repro.core.intervals import Differencer, assemble_interval_data, clamped_diff
 from repro.core.kmeans import KMeansResult, kmeans
 from repro.core.kselect import (
     DEFAULT_KMAX,
@@ -574,46 +576,6 @@ class LiveModel:
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
-class _GrowableMatrix:
-    """A 2-D buffer with amortized O(1) row appends and column growth.
-
-    Rows are interval deltas, columns the (growing) vocabulary; the
-    backing array doubles in either dimension when full, so feeding n
-    snapshots costs O(total entries), never O(n^2).
-    """
-
-    def __init__(self, dtype=np.int64, row_capacity: int = 64,
-                 col_capacity: int = 32) -> None:
-        self._buf = np.zeros((row_capacity, col_capacity), dtype=dtype)
-        self.rows = 0
-        self.cols = 0
-
-    def ensure_cols(self, cols: int) -> None:
-        if cols > self._buf.shape[1]:
-            new_cols = max(cols, 2 * self._buf.shape[1])
-            buf = np.zeros((self._buf.shape[0], new_cols), dtype=self._buf.dtype)
-            buf[:self.rows, :self.cols] = self._buf[:self.rows, :self.cols]
-            self._buf = buf
-        self.cols = max(self.cols, cols)
-
-    def append_row(self, items: Sequence[Tuple[int, int]]) -> None:
-        if self.rows == self._buf.shape[0]:
-            buf = np.zeros((2 * self._buf.shape[0], self._buf.shape[1]),
-                           dtype=self._buf.dtype)
-            buf[:self.rows] = self._buf[:self.rows]
-            self._buf = buf
-        row = self._buf[self.rows]
-        for col, value in items:
-            row[col] = value
-        self.rows += 1
-
-    def row(self, i: int) -> np.ndarray:
-        return self._buf[i, :self.cols]
-
-    def view(self) -> np.ndarray:
-        return self._buf[:self.rows, :self.cols]
-
-
 @dataclass(frozen=True)
 class IncrementalUpdate:
     """What one :meth:`IncrementalAnalyzer.observe` call produced."""
@@ -634,14 +596,15 @@ class IncrementalUpdate:
 class IncrementalAnalyzer:
     """One-snapshot-at-a-time analysis with a live, refittable model.
 
-    :meth:`observe` ingests a cumulative snapshot: the interval delta is
-    computed against the previous snapshot only (O(functions), not O(n)),
-    appended to growing tick/arc matrices, and — with ``track=True`` —
+    :meth:`observe` ingests a cumulative snapshot: it is stored as one
+    cumulative row of a growing :class:`~repro.core.intervals.Differencer`
+    and — with ``track=True`` — the interval it closes (the clamped
+    difference of the last two rows, O(functions), not O(n)) is
     classified by a :class:`LiveModel`, bootstrapped by a full k sweep
     after ``warmup`` intervals.  Its refits never wait on the wall clock
     and take ``kmax``/``n_init``/``seed`` from the analysis config; new
     functions widen the model with zero columns.  :meth:`finalize` runs
-    the batch pipeline on the accumulated deltas, so it returns exactly
+    the batch pipeline on the accumulated rows, so it returns exactly
     what ``analyze_snapshots`` on the same series would.
 
     Not thread-safe: one engine serves one snapshot stream (the service
@@ -671,18 +634,8 @@ class IncrementalAnalyzer:
             cooldown_s=0.0, cooldown_intervals=refit_cooldown,
             kmax=config.kmax, n_init=config.n_init,
             quantile=quantile, slack=slack, seed=config.seed)
-        # -- accumulated interval data --------------------------------
-        self._funcs: List[str] = []
-        self._func_col: Dict[str, int] = {}
-        self._arcs: List[Tuple[str, str]] = []
-        self._arc_col: Dict[Tuple[str, str], int] = {}
-        self._ticks = _GrowableMatrix()
-        self._arcmat = _GrowableMatrix()
-        self._timestamps: List[float] = []
-        self._periods: List[float] = []
-        self._metas: List[Tuple[float, float, int]] = []
-        self._prev_hist: Dict[str, int] = {}
-        self._prev_arcs: Dict[Tuple[str, str], int] = {}
+        # -- accumulated cumulative rows -------------------------------
+        self._diff = Differencer()
         # -- live model (None until the warmup bootstrap) ---------------
         self._model: Optional[LiveModel] = None
         self.updates: List[IncrementalUpdate] = []
@@ -690,11 +643,11 @@ class IncrementalAnalyzer:
     # ------------------------------------------------------------------
     @property
     def n_intervals(self) -> int:
-        return self._ticks.rows
+        return len(self._diff)
 
     @property
     def n_functions(self) -> int:
-        return len(self._funcs)
+        return len(self._diff.functions)
 
     @property
     def current_k(self) -> int:
@@ -721,62 +674,18 @@ class IncrementalAnalyzer:
     # ------------------------------------------------------------------
     # ingest
     # ------------------------------------------------------------------
-    def _add_func(self, func: str) -> int:
-        col = len(self._funcs)
-        self._funcs.append(func)
-        self._func_col[func] = col
-        self._ticks.ensure_cols(col + 1)
-        return col
-
-    def _add_arc(self, arc: Tuple[str, str]) -> int:
-        col = len(self._arcs)
-        self._arcs.append(arc)
-        self._arc_col[arc] = col
-        self._arcmat.ensure_cols(col + 1)
-        return col
-
     def observe(self, snapshot: GmonData) -> IncrementalUpdate:
         """Ingest one cumulative snapshot; returns the live assignment."""
+        diff = self._diff
         timestamp = snapshot.timestamp
-        period = snapshot.sample_period
-        if self._timestamps:
-            if timestamp < self._timestamps[-1]:
-                raise ProfileDataError("snapshots are not in time order")
-            if abs(period - self._periods[-1]) > 1e-12:
-                raise ValidationError(
-                    "cannot subtract snapshots with different sample periods")
+        if diff.timestamps and timestamp < diff.timestamps[-1]:
+            raise ProfileDataError("snapshots are not in time order")
+        diff.push(snapshot)
 
-        tick_items: List[Tuple[int, int]] = []
-        prev_hist = self._prev_hist
-        for func, ticks in snapshot.hist.items():
-            col = self._func_col.get(func)
-            if col is None:
-                col = self._add_func(func)
-            delta = ticks - prev_hist.get(func, 0)
-            if delta > 0:  # clamped at zero, exactly GmonData.subtract
-                tick_items.append((col, delta))
-        arc_items: List[Tuple[int, int]] = []
-        prev_arcs = self._prev_arcs
-        for arc, count in snapshot.arcs.items():
-            col = self._arc_col.get(arc)
-            if col is None:
-                col = self._add_arc(arc)
-            delta = count - prev_arcs.get(arc, 0)
-            if delta > 0:
-                arc_items.append((col, delta))
-
-        self._ticks.append_row(tick_items)
-        self._arcmat.append_row(arc_items)
-        self._prev_hist = dict(snapshot.hist)
-        self._prev_arcs = dict(snapshot.arcs)
-        self._timestamps.append(timestamp)
-        self._periods.append(period)
-        self._metas.append((period, timestamp, snapshot.rank))
-
-        index = self._ticks.rows - 1
+        index = len(diff) - 1
         if self.track and (self._model is not None or index + 1 >= self.warmup):
             update = self._track_row(index, timestamp,
-                                     self._ticks.row(index) * period)
+                                     diff.interval() * snapshot.sample_period)
         else:  # warming up, or not tracking
             update = IncrementalUpdate(
                 index=index, timestamp=timestamp, phase_id=None,
@@ -795,7 +704,9 @@ class IncrementalAnalyzer:
         clusters ordered like the batch pipeline (size descending, first
         appearance) so early live ids line up with what a batch analysis
         of the prefix would report.  It classifies interval ``index``."""
-        features = self._ticks.view() * np.asarray(self._periods)[:, None]
+        diff = self._diff
+        features = (clamped_diff(diff.ticks.view())
+                    * np.asarray(diff.periods)[:, None])
         cfg = self.config
         selection = choose_k(
             features, kmax=min(cfg.kmax, features.shape[0]),
@@ -834,36 +745,14 @@ class IncrementalAnalyzer:
         """Run the full pipeline on everything observed so far.
 
         Returns exactly what ``analyze_snapshots`` over the same series
-        returns: the accumulated delta rows go through the shared
-        assembly helper (same vocabulary derivation, same matrices) and
+        returns: the accumulated rows go through the shared assembly
+        helper (same clamped diff, same vocabulary derivation) and
         the same ``analyze_intervals`` stages.  The engine remains
         usable afterwards — more snapshots can be observed and a later
         finalize covers them too.
         """
-        n = self._ticks.rows
-        if n < 2:
-            raise ProfileDataError("need at least two snapshots to form an interval")
-        interval = self._timestamps[0] if self._timestamps[0] > 0 else (
-            self._timestamps[1] - self._timestamps[0])
-        if interval <= 0:
-            raise ProfileDataError("could not infer a positive interval length")
-
-        tick_deltas = self._ticks.view().copy()
-        arc_deltas = self._arcmat.view().copy()
-        timestamps = list(self._timestamps)
-        periods = np.asarray(self._periods)
-        metas = list(self._metas)
         cfg = self.config
-        if cfg.drop_short_final and n >= 2:
-            final_len = timestamps[-1] - timestamps[-2]
-            if final_len < cfg.min_final_fraction * interval:
-                tick_deltas = tick_deltas[:-1]
-                arc_deltas = arc_deltas[:-1]
-                timestamps = timestamps[:-1]
-                periods = periods[:-1]
-                metas = metas[:-1]
-
         data = assemble_interval_data(
-            tick_deltas, arc_deltas, self._funcs, self._arcs,
-            timestamps, periods, metas, interval)
+            self._diff, drop_short_final=cfg.drop_short_final,
+            min_final_fraction=cfg.min_final_fraction)
         return analyze_intervals(data, cfg, workers=workers)

@@ -13,13 +13,13 @@ The gate is calibrated from the training data itself: an interval is
 ``quantile`` training distance by ``slack``.
 
 The model itself is a :class:`~repro.core.incremental.LiveModel`, the
-engine the streaming analyzer runs too; the tracker adds a lock, a fixed
-function universe, snapshot differencing, the per-stream history and
-checkpoint state.  Constructed with an
-:class:`~repro.core.incremental.AdaptiveConfig`, the model refines its
-centroids with mini-batch k-means updates and — when the drift detector
-fires — refits itself with a bounded re-sweep (k-1..k+1), **hot-swapping**
-the new model before the next interval.  Every refit bumps
+engine the streaming analyzer runs too; the tracker adds a lock, a
+:class:`~repro.core.intervals.Differencer` over the model's fixed
+function universe, the per-stream history and checkpoint state.
+Constructed with an :class:`~repro.core.incremental.AdaptiveConfig`,
+the model refines its centroids with mini-batch k-means updates and —
+when the drift detector fires — refits itself with a bounded re-sweep
+(k-1..k+1), **hot-swapping** the new model before the next interval.  Every refit bumps
 ``model_version`` (carried on each :class:`TrackedInterval`) and remaps
 cluster rows onto *stable* phase ids via greedy centroid matching, so
 phase 2 before the swap and phase 2 after it mean the same behaviour.
@@ -43,9 +43,10 @@ from repro.core.incremental import (
     calibrate_gates,
     nearest_centroids,
 )
+from repro.core.intervals import Differencer
 from repro.core.pipeline import AnalysisResult
-from repro.gprof.gmon import GmonData, dumps_gmon, loads_gmon
-from repro.util.errors import ValidationError
+from repro.gprof.gmon import GmonBlob, GmonData, dumps_gmon
+from repro.util.errors import FormatError, ValidationError
 
 #: An interval profile: a function -> self-seconds mapping, or the same
 #: already projected onto the model universe as an ``(n_functions,)``
@@ -99,11 +100,8 @@ class OnlinePhaseTracker:
         self.interval = interval
         self.zero_start = zero_start
         self.history: List[TrackedInterval] = []
-        self._previous: Optional[GmonData] = None
-        #: Universe-projected ticks of ``_previous``; ``_previous`` stays
-        #: the checkpointed source of truth, and every path that replaces
-        #: it must set this too.
-        self._previous_vec: Optional[np.ndarray] = None
+        #: The stream's last cumulative snapshot, over the fixed universe.
+        self._diff = Differencer(self.functions)
         self._lock = threading.RLock()
         self._refit_listeners: List[
             Callable[["OnlinePhaseTracker", RefitEvent], None]] = []
@@ -175,25 +173,19 @@ class OnlinePhaseTracker:
     # ------------------------------------------------------------------
     # streaming classification
     # ------------------------------------------------------------------
-    def _project(self, values: Dict[str, float], row: np.ndarray) -> np.ndarray:
-        """Write ``values`` into ``row`` by the universe's columns;
-        functions outside the universe are ignored."""
-        index = self._index
-        for func, value in values.items():
-            j = index.get(func)
-            if j is not None:
-                row[j] = value
-        return row
-
     def _vectorize_batch(self, profiles: Sequence[Profile]) -> np.ndarray:
-        """``(n_profiles, n_functions)`` matrix of dict profiles and of
-        vectors already projected by :meth:`delta_vector`."""
+        """``(n_profiles, n_functions)`` matrix of dict profiles (functions
+        outside the universe ignored) and of :meth:`delta_vector` rows."""
         mat = np.zeros((len(profiles), len(self.functions)))
+        index = self._index
         for i, profile in enumerate(profiles):
             if isinstance(profile, np.ndarray):
                 mat[i] = profile
-            else:
-                self._project(profile, mat[i])
+                continue
+            for func, value in profile.items():
+                j = index.get(func)
+                if j is not None:
+                    mat[i, j] = value
         return mat
 
     def classify(self, profile: Profile) -> TrackedInterval:
@@ -220,30 +212,27 @@ class OnlinePhaseTracker:
             self.history.extend(tracked)
         return tracked
 
-    def delta_vector(self, snapshot: GmonData) -> Optional[np.ndarray]:
+    def delta_vector(self, snapshot: Union[GmonData, GmonBlob]
+                     ) -> Optional[np.ndarray]:
         """Difference a *cumulative* snapshot against the stream state.
 
         Returns the interval the snapshot closes as an ``(n_functions,)``
         self-seconds vector for :meth:`classify_batch`, or None when it
         merely primed the differencer (first snapshot without
-        ``zero_start``).  Snapshots are projected onto the model universe
-        before the subtract, which clamps at zero like
-        ``GmonData.subtract``; other functions and arcs are never
-        differenced.
+        ``zero_start``).  The differencer's universe is the model's
+        functions; other functions and arcs are never differenced.  A
+        :class:`GmonBlob` is differenced from its bytes, with no
+        :class:`GmonData` built.  A snapshot that raises (corrupt bytes,
+        a different sample period) leaves the stream state as it was.
         """
         with self._lock:
-            prev = self._previous
-            if (prev is not None
-                    and abs(prev.sample_period - snapshot.sample_period)
-                    > 1e-12):
-                raise ValidationError(
-                    "cannot subtract snapshots with different sample periods")
-            cur = self._project(snapshot.hist, np.zeros(len(self.functions)))
-            self._previous = snapshot
-            prev_vec, self._previous_vec = self._previous_vec, cur
-            if prev is None:
-                return cur * snapshot.sample_period if self.zero_start else None
-            return np.maximum(cur - prev_vec, 0.0) * snapshot.sample_period
+            diff = self._diff
+            primed = len(diff) > 0
+            diff.keep_last()
+            diff.push(snapshot)
+            if not (primed or self.zero_start):
+                return None
+            return diff.interval() * diff.periods[-1]
 
     def observe_snapshot(self, snapshot: GmonData) -> Optional[TrackedInterval]:
         """Feed a *cumulative* gmon snapshot (deployment dump stream):
@@ -402,7 +391,7 @@ class OnlinePhaseTracker:
                  t.model_version]
                 for t in self.history
             ]
-            previous = self._previous
+            previous = self._diff.gmon() if len(self._diff) else None
             state: Dict[str, Any] = {"history": history, "previous": None}
             model = self._model
             if model.version > 0 or model.adaptive is not None:
@@ -437,9 +426,9 @@ class OnlinePhaseTracker:
                 for row in state.get("history", [])
             ]
             blob = state.get("previous")
-            previous = None
+            diff = Differencer(self.functions)
             if blob is not None:
-                previous = loads_gmon(base64.b64decode(blob.encode("ascii")))
+                diff.push(base64.b64decode(blob.encode("ascii")))
             model = state.get("model")
             refit = state.get("refit")
             if model is not None:
@@ -450,13 +439,11 @@ class OnlinePhaseTracker:
                 labels = [int(x) for x in model["labels"]]
                 counts = [float(c) for c in model.get("counts", [1.0] * k)]
                 version = int(model.get("version", 0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, FormatError) as exc:
             raise ValidationError(f"bad tracker runtime state: {exc!r}") from exc
         with self._lock:
             self.history = history
-            self._previous = previous
-            self._previous_vec = (None if previous is None else self._project(
-                previous.hist, np.zeros(len(self.functions))))
+            self._diff = diff
             if model is not None:
                 self._model.replace(centroids, gates, labels=labels,
                                     counts=counts, version=version)

@@ -112,7 +112,7 @@ def intervals_from_coverage(
     unitless intensity in [0, interval]) so the standard self-time
     feature pipeline applies unchanged.
     """
-    from repro.core.intervals import IntervalData
+    from repro.core.intervals import IntervalData, clamped_diff
 
     if len(snapshots) < 2:
         raise ProfileDataError("need at least two coverage snapshots")
@@ -125,8 +125,7 @@ def intervals_from_coverage(
     for i, snap in enumerate(snapshots):
         for func, count in snap.counters.items():
             cum[i, index[func]] = count
-    calls = np.diff(cum, axis=0, prepend=np.zeros((1, len(names)), dtype=np.int64))
-    np.clip(calls, 0, None, out=calls)
+    calls = clamped_diff(cum)
 
     totals = calls.sum(axis=1, keepdims=True).astype(float)
     totals[totals == 0] = 1.0

@@ -13,17 +13,15 @@ files raise :class:`~repro.util.errors.FormatError`.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Dict, List, Tuple, Union
+from typing import BinaryIO, Dict, List, NamedTuple, Tuple, Union
+
+import numpy as np
 
 from repro.util.errors import FormatError, ValidationError
-
-try:  # numpy accelerates bulk record decoding; the format does not need it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 MAGIC = b"IGMON"
 VERSION = 1
@@ -33,14 +31,21 @@ _U32 = struct.Struct("<I")
 _HIST_REC = struct.Struct("<IQ")  # name index, tick count
 _ARC_REC = struct.Struct("<IIQ")  # caller index, callee index, count
 
-if _np is not None:
-    # Packed-record views of the fixed-size sections ("<" structs carry
-    # no padding, so explicit offsets reproduce the wire layout exactly).
-    _HIST_DTYPE = _np.dtype({"names": ["i", "t"], "formats": ["<u4", "<u8"],
-                             "offsets": [0, 4], "itemsize": _HIST_REC.size})
-    _ARC_DTYPE = _np.dtype({"names": ["s", "d", "c"],
-                            "formats": ["<u4", "<u4", "<u8"],
-                            "offsets": [0, 4, 8], "itemsize": _ARC_REC.size})
+# Packed-record views of the fixed-size sections ("<" structs carry no
+# padding, so explicit offsets reproduce the wire layout exactly).
+_HIST_DTYPE = np.dtype({"names": ["i", "t"], "formats": ["<u4", "<u8"],
+                        "offsets": [0, 4], "itemsize": _HIST_REC.size})
+_ARC_DTYPE = np.dtype({"names": ["s", "d", "c"],
+                       "formats": ["<u4", "<u4", "<u8"],
+                       "offsets": [0, 4, 8], "itemsize": _ARC_REC.size})
+
+
+def check_sample_period(period: float, error: type = ValidationError) -> None:
+    """The one sample-period check: raise ``error`` unless ``period`` is
+    finite and positive.  A NaN or infinite period would poison every
+    interval differenced against it."""
+    if not (math.isfinite(period) and period > 0):
+        raise error(f"sample_period must be finite and positive, got {period!r}")
 
 
 @dataclass
@@ -68,8 +73,7 @@ class GmonData:
     rank: int = 0
 
     def __post_init__(self) -> None:
-        if self.sample_period <= 0:
-            raise ValidationError("sample_period must be positive")
+        check_sample_period(self.sample_period)
 
     # ------------------------------------------------------------------
     # accounting
@@ -146,13 +150,6 @@ class GmonData:
 # ----------------------------------------------------------------------
 # binary serialization
 # ----------------------------------------------------------------------
-def _read_exact(stream: BinaryIO, n: int) -> bytes:
-    data = stream.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated gmon data: wanted {n} bytes, got {len(data)}")
-    return data
-
-
 def write_gmon(data: GmonData, target: Union[str, Path, BinaryIO]) -> None:
     """Serialize ``data`` to a path or binary stream."""
     if isinstance(target, (str, Path)):
@@ -196,66 +193,10 @@ def write_gmon(data: GmonData, target: Union[str, Path, BinaryIO]) -> None:
 
 
 def read_gmon(source: Union[str, Path, BinaryIO]) -> GmonData:
-    """Deserialize a gmon snapshot from a path or binary stream."""
+    """Deserialize one gmon snapshot from a path or binary stream."""
     if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            return read_gmon(fh)
-    stream = source
-    magic, version, period, timestamp, rank = _HEADER.unpack(_read_exact(stream, _HEADER.size))
-    if magic != MAGIC:
-        raise FormatError(f"bad gmon magic {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"unsupported gmon version {version}")
-
-    (n_names,) = _U32.unpack(_read_exact(stream, 4))
-    names: List[str] = []
-    for _ in range(n_names):
-        (length,) = _U32.unpack(_read_exact(stream, 4))
-        names.append(_read_exact(stream, length).decode("utf-8"))
-
-    data = GmonData(sample_period=period, timestamp=timestamp, rank=rank)
-
-    (n_hist,) = _U32.unpack(_read_exact(stream, 4))
-    hist_buf = _read_exact(stream, n_hist * _HIST_REC.size)
-    for idx, ticks in _HIST_REC.iter_unpack(hist_buf):
-        if idx >= len(names):
-            raise FormatError(f"histogram name index {idx} out of range")
-        data.hist[names[idx]] = ticks
-
-    (n_arcs,) = _U32.unpack(_read_exact(stream, 4))
-    arc_buf = _read_exact(stream, n_arcs * _ARC_REC.size)
-    for src, dst, count in _ARC_REC.iter_unpack(arc_buf):
-        if src >= len(names) or dst >= len(names):
-            raise FormatError("arc name index out of range")
-        data.arcs[(names[src], names[dst])] = count
-
-    return data
-
-
-class GmonBlob:
-    """A still-serialized gmon snapshot: raw bytes plus parse-on-demand.
-
-    The service wire path admits binary snapshots without paying the
-    parse on the connection's reader thread; whichever worker classifies
-    the interval calls :meth:`load` (cached) off the critical path.  A
-    blob also rides *encoding* untouched — both codecs emit its bytes
-    directly, so a publisher holding pre-serialized gmon files never
-    re-serializes, and a router relaying a snapshot never parses it.
-
-    ``raw`` may be any buffer (``memoryview`` included); a corrupt blob
-    raises :class:`FormatError` from :meth:`load`, not from construction.
-    """
-
-    __slots__ = ("raw", "_data")
-
-    def __init__(self, raw) -> None:
-        self.raw = raw
-        self._data: "GmonData | None" = None
-
-    def load(self) -> GmonData:
-        if self._data is None:
-            self._data = loads_gmon(self.raw)
-        return self._data
+        return loads_gmon(Path(source).read_bytes())
+    return loads_gmon(source.read())
 
 
 def dumps_gmon(data: GmonData) -> bytes:
@@ -265,6 +206,72 @@ def dumps_gmon(data: GmonData) -> bytes:
     return buf.getvalue()
 
 
+class GmonColumns(NamedTuple):
+    """One decoded gmon snapshot, still in columns.
+
+    ``table`` is the raw string-table section (its name count included):
+    a stream repeats it verbatim interval after interval, so consumers
+    key per-table work by it.  The ``hist_*`` and ``arc_*`` columns are
+    NumPy views of the record fields in the decoded buffer; every name
+    index in them is already checked against ``names``.
+    """
+
+    sample_period: float
+    timestamp: float
+    rank: int
+    table: bytes
+    names: List[str]
+    hist_name: np.ndarray
+    hist_ticks: np.ndarray
+    arc_caller: np.ndarray
+    arc_callee: np.ndarray
+    arc_count: np.ndarray
+
+    def to_gmon(self) -> GmonData:
+        names = self.names
+        data = GmonData(sample_period=self.sample_period,
+                        timestamp=self.timestamp, rank=self.rank)
+        data.hist = dict(zip([names[i] for i in self.hist_name.tolist()],
+                             self.hist_ticks.tolist()))
+        data.arcs = dict(zip(zip([names[i] for i in self.arc_caller.tolist()],
+                                 [names[i] for i in self.arc_callee.tolist()]),
+                             self.arc_count.tolist()))
+        return data
+
+
+class GmonBlob:
+    """A still-serialized gmon snapshot: raw bytes plus decode-on-demand.
+
+    The service wire path admits binary snapshots without paying the
+    decode on the connection's reader thread.  The classify thread
+    differences the bytes straight from :meth:`columns` (decoded once,
+    cached) and the archive keeps them as they are, so neither builds a
+    :class:`GmonData`; :meth:`load` builds one for callers that want
+    dicts.  A blob also rides *encoding* untouched — both codecs emit
+    its bytes directly, so a publisher holding pre-serialized gmon
+    files never re-serializes, and a router relaying a snapshot never
+    parses it.
+
+    ``raw`` may be any buffer (``memoryview`` included); a corrupt blob
+    raises :class:`FormatError` from :meth:`columns` and :meth:`load`,
+    not from construction.
+    """
+
+    __slots__ = ("raw", "_columns")
+
+    def __init__(self, raw) -> None:
+        self.raw = raw
+        self._columns: "GmonColumns | None" = None
+
+    def columns(self) -> GmonColumns:
+        if self._columns is None:
+            self._columns = decode_gmon(self.raw)
+        return self._columns
+
+    def load(self) -> GmonData:
+        return self.columns().to_gmon()
+
+
 #: Decoded string tables keyed by their raw section bytes; cleared
 #: wholesale at the cap (tables are small and the set of distinct
 #: function universes a process sees is, too).
@@ -272,13 +279,16 @@ _NAMES_CACHE: Dict[bytes, List[str]] = {}
 _NAMES_CACHE_MAX = 256
 
 
-def loads_gmon(blob) -> GmonData:
-    """Deserialize from bytes or any buffer (``memoryview`` included).
+def decode_gmon(blob) -> GmonColumns:
+    """Decode a serialized gmon into columns: the one gmon parser.
 
-    Parses in place with ``unpack_from`` offsets — no stream object, no
-    intermediate copies — so the service wire path can hand in a
-    ``memoryview`` carved straight out of a received frame.  Same format,
-    same :class:`FormatError` guarantees as :func:`read_gmon`.
+    Parses in place with ``unpack_from`` offsets and NumPy record views
+    — no stream object, no intermediate copies, no dicts — so the
+    service wire path can hand in a ``memoryview`` carved straight out
+    of a received frame.  Truncation, bad magic, an unsupported
+    version, a sample period that is not finite and positive, a name
+    that is not UTF-8, and name indices out of range raise
+    :class:`FormatError`.
     """
     buf = memoryview(blob)
     total = buf.nbytes
@@ -294,79 +304,64 @@ def loads_gmon(blob) -> GmonData:
         raise FormatError(f"bad gmon magic {bytes(magic)!r}")
     if version != VERSION:
         raise FormatError(f"unsupported gmon version {version}")
-    off = _HEADER.size
+    check_sample_period(period, FormatError)
 
+    # A stream's snapshots carry the same function set interval after
+    # interval, so the string table's raw bytes repeat verbatim; cache
+    # the decoded table keyed by those bytes and the per-interval decode
+    # skips every UTF-8 decode.  First pass walks lengths only.
+    off = _HEADER.size
     need(off, 4)
     (n_names,) = _U32.unpack_from(buf, off)
     off += 4
-    # A stream's snapshots carry the same function set interval after
-    # interval, so the string table's raw bytes repeat verbatim; cache
-    # the decoded table keyed by those bytes and the per-interval parse
-    # skips every UTF-8 decode.  First pass walks lengths only.
-    names_start = off
     for _ in range(n_names):
         need(off, 4)
         (length,) = _U32.unpack_from(buf, off)
         off += 4
         need(off, length)
         off += length
-    section = bytes(buf[names_start:off])
-    names = _NAMES_CACHE.get(section)
+    table = bytes(buf[_HEADER.size:off])
+    names = _NAMES_CACHE.get(table)
     if names is None:
         names = []
-        pos = 0
+        pos = 4
         for _ in range(n_names):
-            (length,) = _U32.unpack_from(section, pos)
+            (length,) = _U32.unpack_from(table, pos)
             pos += 4
-            names.append(section[pos:pos + length].decode("utf-8"))
+            try:
+                names.append(table[pos:pos + length].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"gmon function name is not UTF-8: {exc}") from exc
             pos += length
         if len(_NAMES_CACHE) >= _NAMES_CACHE_MAX:
             _NAMES_CACHE.clear()
-        _NAMES_CACHE[section] = names
-
-    try:
-        data = GmonData(sample_period=period, timestamp=timestamp, rank=rank)
-    except ValidationError as exc:
-        raise FormatError(f"bad gmon header: {exc}") from exc
+        _NAMES_CACHE[table] = names
 
     need(off, 4)
     (n_hist,) = _U32.unpack_from(buf, off)
     off += 4
     need(off, n_hist * _HIST_REC.size)
-    if _np is not None and n_hist:
-        # One vectorized view over the whole section instead of ~n_hist
-        # iter_unpack tuples; this parse sits on the service's classify
-        # path, where it is the single largest per-interval CPU item.
-        recs = _np.frombuffer(buf, dtype=_HIST_DTYPE, count=n_hist, offset=off)
-        idx = recs["i"]
-        if int(idx.max()) >= len(names):
-            bad = int(idx[idx >= len(names)][0])
-            raise FormatError(f"histogram name index {bad} out of range")
-        data.hist = dict(zip((names[i] for i in idx.tolist()),
-                             recs["t"].tolist()))
-    else:
-        for idx, ticks in _HIST_REC.iter_unpack(buf[off:off + n_hist * _HIST_REC.size]):
-            if idx >= len(names):
-                raise FormatError(f"histogram name index {idx} out of range")
-            data.hist[names[idx]] = ticks
+    hist = np.frombuffer(buf, dtype=_HIST_DTYPE, count=n_hist, offset=off)
+    hist_name = hist["i"]
+    if n_hist and int(hist_name.max()) >= len(names):
+        bad = int(hist_name[hist_name >= len(names)][0])
+        raise FormatError(f"histogram name index {bad} out of range")
     off += n_hist * _HIST_REC.size
 
     need(off, 4)
     (n_arcs,) = _U32.unpack_from(buf, off)
     off += 4
     need(off, n_arcs * _ARC_REC.size)
-    if _np is not None and n_arcs:
-        recs = _np.frombuffer(buf, dtype=_ARC_DTYPE, count=n_arcs, offset=off)
-        src_i, dst_i = recs["s"], recs["d"]
-        if int(src_i.max()) >= len(names) or int(dst_i.max()) >= len(names):
-            raise FormatError("arc name index out of range")
-        data.arcs = dict(zip(zip((names[i] for i in src_i.tolist()),
-                                 (names[i] for i in dst_i.tolist())),
-                             recs["c"].tolist()))
-    else:
-        for src, dst, count in _ARC_REC.iter_unpack(buf[off:off + n_arcs * _ARC_REC.size]):
-            if src >= len(names) or dst >= len(names):
-                raise FormatError("arc name index out of range")
-            data.arcs[(names[src], names[dst])] = count
+    arcs = np.frombuffer(buf, dtype=_ARC_DTYPE, count=n_arcs, offset=off)
+    caller, callee = arcs["s"], arcs["d"]
+    if n_arcs and max(int(caller.max()), int(callee.max())) >= len(names):
+        raise FormatError("arc name index out of range")
 
-    return data
+    return GmonColumns(period, timestamp, rank, table, names,
+                       hist_name, hist["t"], caller, callee, arcs["c"])
+
+
+def loads_gmon(blob) -> GmonData:
+    """Deserialize from bytes or any buffer (``memoryview`` included):
+    :func:`decode_gmon`, then the columns as dicts."""
+    return decode_gmon(blob).to_gmon()

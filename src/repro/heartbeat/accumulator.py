@@ -176,42 +176,3 @@ class HeartbeatAccumulator:
             self._flush_through(self._index_of(now))
         self._emit_current()
         return self.records
-
-
-def merge_records(records: List[HeartbeatRecord],
-                  rank: Optional[int] = None) -> List[HeartbeatRecord]:
-    """Merge records sharing ``(hb_id, interval_index)`` into one row each.
-
-    The fleet view: many ranks (or many flushes) report the same
-    heartbeat in the same interval; the merged row sums counts, weights
-    the mean by count, and min/max-merges the extremes.  A ``None``
-    minimum is the merge identity — it never drags the merged minimum to
-    zero — and the merged minimum is ``None`` only when *no* input
-    observed one.  Output is sorted by ``(interval_index, hb_id)``.
-    """
-    merged: Dict[tuple, HeartbeatRecord] = {}
-    for rec in records:
-        key = (rec.interval_index, rec.hb_id)
-        prev = merged.get(key)
-        if prev is None:
-            merged[key] = rec
-            continue
-        count = prev.count + rec.count
-        avg = ((prev.duration_sum + rec.duration_sum) / count
-               if count > 0 else 0.0)
-        low = min(prev.min_duration_or_inf(), rec.min_duration_or_inf())
-        if rank is not None:
-            merged_rank = rank
-        else:
-            merged_rank = prev.rank if prev.rank == rec.rank else -1
-        merged[key] = HeartbeatRecord(
-            rank=merged_rank,
-            hb_id=rec.hb_id,
-            interval_index=rec.interval_index,
-            time=max(prev.time, rec.time),
-            count=count,
-            avg_duration=avg,
-            min_duration=None if math.isinf(low) else low,
-            max_duration=max(prev.max_duration, rec.max_duration),
-        )
-    return [merged[key] for key in sorted(merged)]

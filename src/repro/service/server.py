@@ -42,7 +42,7 @@ import traceback
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from queue import Empty, Queue
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.core.incremental import AdaptiveConfig, DriftConfig
 from repro.core.model_io import MODEL_MAGIC, MODEL_SCHEMA, pack_artifact
@@ -118,7 +118,7 @@ BACKPRESSURE_POLICIES = ("block", "drop-oldest", "reject")
 
 #: One queued snapshot as the classify thread pops it: the reader's
 #: ``(seq, gmon, trace_id, put_start)`` and the queue's admission time.
-Entry = Tuple[Tuple[int, GmonData, str, float], float]
+Entry = Tuple[Tuple[int, Union[GmonData, GmonBlob], str, float], float]
 
 
 class BoundedStreamQueue:
@@ -1202,17 +1202,17 @@ class PhaseMonitorServer:
         for state, batch in work:
             errors = 0
             # Universe-projected delta vectors (see delta_vector) — the
-            # classify pass consumes them without re-vectorizing.
+            # classify pass consumes them without re-vectorizing.  A v2
+            # snapshot is differenced straight from its bytes.
             profiles: List[Any] = []
             if state.tracker is not None:
                 for (_seq, gmon, _tid, _put), _admitted in batch:
                     try:
-                        if isinstance(gmon, GmonBlob):
-                            gmon = gmon.load()
                         profile = state.tracker.delta_vector(gmon)
                     except ReproError:
                         # A single inconsistent snapshot (e.g. mismatched
-                        # sample period) must not fail the whole tick.
+                        # sample period) must not fail the whole tick;
+                        # it leaves the stream's differencer as it was.
                         errors += 1
                         self.metrics.note_ingest_error()
                         continue
@@ -1291,9 +1291,11 @@ class PhaseMonitorServer:
         Runs under the stream's ``work_lock`` after commit, so per-stream
         interval order is preserved.  A sequence number at or below the
         store's last archived index (a resume overlap after a restart)
-        is skipped — the bytes are already durable.  Archive failures
-        are logged, never fatal: the store is an observability surface,
-        not the classification path.
+        is skipped — the bytes are already durable.  A v2 snapshot is
+        archived as its raw bytes, under its header's timestamp, with no
+        :class:`GmonData` built.  Archive failures (a corrupt blob among
+        them) are logged, never fatal: the store is an observability
+        surface, not the classification path.
         """
         store = self.store
         if store is None:
@@ -1301,11 +1303,7 @@ class PhaseMonitorServer:
         archived = 0
         for (seq, gmon, _trace_id, _put), _admitted in batch:
             try:
-                if isinstance(gmon, GmonBlob):
-                    store.append(state.stream_id, seq, gmon.load(),
-                                 raw=gmon.raw)
-                else:
-                    store.append(state.stream_id, seq, gmon)
+                store.append(state.stream_id, seq, gmon)
                 archived += 1
             except CollectorError:
                 continue  # duplicate/rewound seq: already archived

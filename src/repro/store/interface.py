@@ -43,11 +43,12 @@ from repro.util.errors import CollectorError
 class ReplayResult:
     """One historical window re-driven through the streaming engine.
 
-    ``updates`` are exactly what a live engine observing the same
-    snapshots would have produced — same phase ids, same refit events —
-    so backtests of refit policies read like production traces.  The
-    engine itself rides along for callers that want to :meth:`finalize`
-    or keep streaming past the window.
+    ``updates`` are exactly what an :class:`IncrementalAnalyzer` fed
+    the same snapshots produces — same phase ids, same refit events.
+    They are not the daemon's live labels: the daemon classifies with
+    the model it serves, which replay does not use.  The engine itself
+    rides along for callers that want to :meth:`finalize` or keep
+    streaming past the window.
     """
 
     stream_id: str

@@ -43,8 +43,9 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.intervals import Differencer, clamped_diff
 from repro.core.model_io import pack_artifact, read_artifact_payload
-from repro.gprof.gmon import GmonData, dumps_gmon, loads_gmon
+from repro.gprof.gmon import GmonBlob, GmonData, dumps_gmon, loads_gmon
 from repro.store import layout
 from repro.store.interface import IntervalStore
 from repro.util.atomicio import atomic_write_bytes
@@ -325,27 +326,24 @@ class SegmentStore(IntervalStore):
             yield index, loads_gmon(blob[offsets[i]:offsets[i + 1]])
 
     @staticmethod
-    def _vector_arrays(indices: List[int], snapshots: List[GmonData]) -> Dict[str, np.ndarray]:
-        """The downsampled columnar form of a snapshot run.
+    def _vector_arrays(raw: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """The downsampled columnar form of a raw segment.
 
-        The function vocabulary is built in first-seen order *while
-        iterating the snapshots* — the exact order the streaming engine
-        assigns feature columns — so a replay from this tier grows an
-        identical vocabulary and produces bit-identical features.  Call
-        arcs are dropped: phase classification derives features from
-        histogram ticks only.
+        The segment's gmon bytes go through a growing
+        :class:`~repro.core.intervals.Differencer`, whose function
+        columns follow first-seen, histogram-record order — the exact
+        order the streaming engine assigns feature columns — so a replay
+        from this tier grows an identical vocabulary and produces
+        bit-identical features.  No sample-period check: the archive
+        keeps whatever the stream sent.  Call arcs are dropped: phase
+        classification derives features from histogram ticks only.
         """
-        cols: Dict[str, int] = {}
-        funcs: List[str] = []
-        for snap in snapshots:
-            for func in snap.hist:
-                if func not in cols:
-                    cols[func] = len(funcs)
-                    funcs.append(func)
-        ticks = np.zeros((len(snapshots), len(funcs)), dtype=np.int64)
-        for i, snap in enumerate(snapshots):
-            for func, count in snap.hist.items():
-                ticks[i, cols[func]] = count
+        diff = Differencer()
+        blob = raw["blob"].tobytes()
+        offsets = raw["offsets"].tolist()
+        for i in range(len(raw["indices"])):
+            diff.push(blob[offsets[i]:offsets[i + 1]], check=False)
+        ticks = diff.ticks.view()
         # Row-delta encoding: cumulative tick counts barely move between
         # adjacent intervals, so deltas are near-zero and zlib eats them.
         # Exact int64 arithmetic either way — cumsum on read restores the
@@ -354,13 +352,11 @@ class SegmentStore(IntervalStore):
                          prepend=np.zeros((1, ticks.shape[1]), dtype=np.int64))
         return {
             "kind": np.array("vector"),
-            "indices": np.asarray(indices, dtype=np.int64),
-            "timestamps": np.asarray([s.timestamp for s in snapshots],
-                                     dtype=np.float64),
-            "periods": np.asarray([s.sample_period for s in snapshots],
-                                  dtype=np.float64),
-            "ranks": np.asarray([s.rank for s in snapshots], dtype=np.int64),
-            "funcs": np.asarray(funcs),
+            "indices": raw["indices"].astype(np.int64),
+            "timestamps": np.asarray(diff.timestamps, dtype=np.float64),
+            "periods": np.asarray(diff.periods, dtype=np.float64),
+            "ranks": np.asarray(diff.ranks, dtype=np.int64),
+            "funcs": np.asarray(diff.functions),
             "ticks_delta": deltas,
         }
 
@@ -372,7 +368,7 @@ class SegmentStore(IntervalStore):
     @classmethod
     def _iter_vector(cls, arrays: Dict[str, np.ndarray]) -> Iterator[Tuple[int, GmonData]]:
         funcs = [str(f) for f in arrays["funcs"].tolist()]
-        ticks = cls._vector_ticks(arrays)
+        ticks = cls._vector_ticks(arrays).view(np.uint64)  # u64 counters
         timestamps = arrays["timestamps"].tolist()
         periods = arrays["periods"].tolist()
         ranks = arrays["ranks"].tolist()
@@ -394,17 +390,11 @@ class SegmentStore(IntervalStore):
         """
         from repro.core.kmeans import kmeans
 
-        ticks = self._vector_ticks(vec).astype(np.float64)
-        periods = vec["periods"][:, None]
-        if int(vec["indices"][0]) == 0:
-            base = np.zeros((1, ticks.shape[1]))
-        else:
-            base = ticks[:1]
-        deltas = np.clip(np.diff(ticks, axis=0, prepend=base), 0, None) * periods
+        deltas = clamped_diff(self._vector_ticks(vec)) * vec["periods"][:, None]
         if int(vec["indices"][0]) != 0:
             deltas = deltas[1:]
         if deltas.shape[0] == 0:
-            deltas = np.zeros((1, ticks.shape[1]))
+            deltas = np.zeros((1, deltas.shape[1]))
         k = min(self.policy.sketch_k, deltas.shape[0])
         fit = kmeans(deltas, k, seed=0)
         counts = np.bincount(fit.labels, minlength=k).astype(np.int64)
@@ -422,14 +412,22 @@ class SegmentStore(IntervalStore):
     # ------------------------------------------------------------------
     # IntervalStore: writing
     # ------------------------------------------------------------------
-    def append(self, stream_id: str, index: int, snapshot: GmonData,
+    def append(self, stream_id: str, index: int,
+               snapshot: Union[GmonData, GmonBlob],
                *, raw: Optional[bytes] = None) -> None:
         """Buffer one snapshot; a full buffer rolls into a raw segment.
 
         ``raw`` short-circuits serialization when the caller already
-        holds the snapshot's gmon bytes (the service ingest path does —
-        binary-protocol submissions arrive pre-serialized).
+        holds the snapshot's gmon bytes.  A :class:`GmonBlob` (a
+        binary-protocol submission, which arrives pre-serialized) is
+        archived as its bytes, under the timestamp in their header; its
+        cached decode validates them, so a corrupt blob raises
+        :class:`~repro.util.errors.FormatError` and is not archived.
         """
+        if isinstance(snapshot, GmonBlob):
+            raw, timestamp = snapshot.raw, snapshot.columns().timestamp
+        else:
+            timestamp = snapshot.timestamp
         blob = bytes(raw) if raw is not None else dumps_gmon(snapshot)
         with self._lock:
             pending = self._pending.setdefault(stream_id, _Pending())
@@ -440,7 +438,7 @@ class SegmentStore(IntervalStore):
                     f"segment store appends must be in interval order: "
                     f"stream {stream_id!r} got index {index} after {last}")
             pending.indices.append(index)
-            pending.timestamps.append(snapshot.timestamp)
+            pending.timestamps.append(timestamp)
             pending.blobs.append(blob)
             self.appends += 1
             if len(pending.indices) >= self.segment_intervals:
@@ -619,9 +617,7 @@ class SegmentStore(IntervalStore):
         """Write ``seg``'s intervals as a ``to_tier`` segment (uncommitted)."""
         arrays = self._read_segment(seg)
         if to_tier == TIER_VECTOR:
-            pairs = list(self._iter_raw(arrays))
-            new_arrays = self._vector_arrays([i for i, _ in pairs],
-                                             [s for _, s in pairs])
+            new_arrays = self._vector_arrays(arrays)
         elif to_tier == TIER_SKETCH:
             new_arrays = self._sketch_arrays(arrays)
         else:

@@ -161,7 +161,7 @@ def test_span_min_max_is_per_beat_duration():
 
 
 # ----------------------------------------------------------------------
-# min_duration sentinel + merge_records
+# min_duration sentinel
 # ----------------------------------------------------------------------
 def _rec(hb_id=1, interval_index=0, count=1.0, avg=0.2, low=None, high=0.4,
          rank=0):
@@ -190,41 +190,3 @@ def test_csv_round_trips_none_minimum(tmp_path):
     assert loaded[0].min_duration is None
     assert loaded[0].max_duration == pytest.approx(0.4)
 
-
-def test_merge_records_none_minimum_is_identity():
-    """An unobserved minimum must never clobber a real one to 0."""
-    from repro.heartbeat.accumulator import merge_records
-
-    merged = merge_records([
-        _rec(rank=0, count=2.0, avg=0.2, low=None, high=0.3),
-        _rec(rank=1, count=2.0, avg=0.4, low=0.15, high=0.5),
-    ])
-    assert len(merged) == 1
-    row = merged[0]
-    assert row.count == pytest.approx(4.0)
-    assert row.avg_duration == pytest.approx(0.3)  # count-weighted
-    assert row.min_duration == pytest.approx(0.15)  # None is identity
-    assert row.max_duration == pytest.approx(0.5)
-    assert row.rank == -1  # differing ranks collapse to the merged marker
-
-
-def test_merge_records_all_none_stays_none():
-    from repro.heartbeat.accumulator import merge_records
-
-    merged = merge_records([_rec(rank=0, low=None), _rec(rank=1, low=None)])
-    assert merged[0].min_duration is None
-
-
-def test_merge_records_keeps_distinct_cells_apart():
-    from repro.heartbeat.accumulator import merge_records
-
-    merged = merge_records([
-        _rec(hb_id=1, interval_index=0, low=0.1),
-        _rec(hb_id=1, interval_index=1, low=0.2),
-        _rec(hb_id=2, interval_index=0, low=0.3),
-    ])
-    assert len(merged) == 3
-    # Output is interval-major: the non-decreasing interval order every
-    # downstream sink expects.
-    assert [(r.interval_index, r.hb_id) for r in merged] == [
-        (0, 1), (0, 2), (1, 1)]

@@ -7,11 +7,15 @@ version-mismatched checkpoint files are quarantined — never silently
 used, never deleted.
 """
 
+import base64
+import struct
+
 import numpy as np
 import pytest
 
 from repro.api import AnalysisConfig, CheckpointError, analyze_snapshots
 from repro.core.online import OnlinePhaseTracker
+from repro.gprof.gmon import GmonBlob, dumps_gmon, loads_gmon
 from repro.service import SyntheticLoadGenerator
 from repro.service.checkpoint import (
     CHECKPOINT_FILENAME,
@@ -82,6 +86,66 @@ def test_restored_tracker_continues_identically(template):
     assert restored.phase_sequence() == state.tracker.phase_sequence()
     assert [t.distance for t in restored.history] == \
            [t.distance for t in state.tracker.history]
+
+
+def _feed_blobs(tracker, blobs):
+    """Difference and classify gmon bytes as the daemon's tick does."""
+    for raw in blobs:
+        profile = tracker.delta_vector(GmonBlob(raw))
+        if profile is not None:
+            tracker.classify_batch([profile])
+
+
+def test_u64_count_past_int64_checkpoints_and_restores(template):
+    """A v2 snapshot may carry any u64 count.  With one past int64 on a
+    model function the stream still checkpoints (its last snapshot is
+    stored as a valid gmon, count intact), restores, and continues
+    exactly like the original — and like a stream without the offset,
+    since every interval after the first differences it away."""
+    big = 2**63 + 5
+    func = template.functions[0]
+    plain = [dumps_gmon(s) for s in SyntheticLoadGenerator().stream(3, 16)]
+    offset = []
+    for raw in plain:
+        snap = loads_gmon(raw)
+        snap.hist[func] = snap.hist.get(func, 0) + big
+        offset.append(dumps_gmon(snap))
+
+    registry = StreamRegistry()
+    state = registry.register("s", app="t", rank=0)
+    state.tracker = template.spawn(zero_start=True)
+    _feed_blobs(state.tracker, offset[:8])
+    payload = snapshot_registry(registry)
+    previous = base64.b64decode(payload["streams"][0]["tracker"]["previous"])
+    assert loads_gmon(previous).hist[func] == loads_gmon(offset[7]).hist[func]
+
+    fresh = StreamRegistry()
+    restore_registry(fresh, payload, template)
+    restored = fresh.get("s").tracker
+    _feed_blobs(state.tracker, offset[8:])
+    _feed_blobs(restored, offset[8:])
+    assert restored.phase_sequence() == state.tracker.phase_sequence()
+    assert [t.distance for t in restored.history] == \
+           [t.distance for t in state.tracker.history]
+
+    reference = template.spawn(zero_start=True)
+    _feed_blobs(reference, plain)
+    assert [(t.phase_id, t.distance) for t in state.tracker.history[1:]] == \
+           [(t.phase_id, t.distance) for t in reference.history[1:]]
+
+
+def test_restore_rejects_a_non_finite_previous_period(template):
+    """A checkpoint whose stored snapshot has a NaN sample period (one an
+    older daemon accepted) is a bad stream record, not a crash."""
+    registry = StreamRegistry()
+    feed_stream(registry, template, "a", seed=1, n=4)
+    payload = snapshot_registry(registry)
+    tracker_state = payload["streams"][0]["tracker"]
+    raw = bytearray(base64.b64decode(tracker_state["previous"]))
+    raw[7:15] = struct.pack("<d", float("nan"))  # the header's period
+    tracker_state["previous"] = base64.b64encode(bytes(raw)).decode("ascii")
+    with pytest.raises(CheckpointError, match="runtime state"):
+        restore_registry(StreamRegistry(), payload, template)
 
 
 def test_finished_ring_and_counters_round_trip(template):

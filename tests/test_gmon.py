@@ -1,6 +1,7 @@
 """GmonData accounting, subtraction, and binary round-trip."""
 
 import io
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +70,20 @@ def test_invalid_sample_period():
         GmonData(sample_period=0.0)
 
 
+@pytest.mark.parametrize("period", [float("nan"), float("inf"),
+                                    float("-inf"), 0.0, -0.01])
+def test_non_finite_or_non_positive_period_rejected(period):
+    """One header check: a NaN or infinite period would poison every
+    interval differenced against it, so neither the dataclass nor the
+    decoder admits one."""
+    with pytest.raises(ValidationError):
+        GmonData(sample_period=period)
+    blob = bytearray(dumps_gmon(sample_gmon()))
+    blob[7:15] = struct.pack("<d", period)  # after magic and version
+    with pytest.raises(FormatError):
+        loads_gmon(bytes(blob))
+
+
 def test_subtract_interval_semantics():
     earlier = GmonData()
     earlier.add_ticks("f", 10)
@@ -121,6 +136,15 @@ def test_truncated_data():
         loads_gmon(blob[: len(blob) // 2])
 
 
+def test_non_utf8_name_is_a_format_error():
+    """A corrupt name fails like any other corrupt gmon: the service
+    counts one ingest error instead of losing its whole classify tick."""
+    blob = bytearray(dumps_gmon(sample_gmon()))
+    blob[blob.index(b"alpha")] = 0xFF
+    with pytest.raises(FormatError):
+        loads_gmon(bytes(blob))
+
+
 def test_unsupported_version():
     blob = bytearray(dumps_gmon(sample_gmon()))
     blob[5:7] = (99).to_bytes(2, "little")
@@ -170,6 +194,76 @@ def test_subtract_property_nonnegative_and_exact(base, extra):
     for func, ticks in extra.items():
         if ticks > 0:
             assert delta.hist[func] == ticks
+
+
+def _reference_loads(blob):
+    """Record-at-a-time IGMON parser: the reference ``decode_gmon``'s
+    NumPy views and its cached string tables must reproduce."""
+    def take(n):
+        nonlocal off
+        if off + n > len(blob):
+            raise FormatError("truncated")
+        off += n
+        return blob[off - n:off]
+
+    off = 0
+    magic, version, period, timestamp, rank = struct.unpack("<5sHddi", take(27))
+    if magic != b"IGMON" or version != 1:
+        raise FormatError("bad header")
+    try:
+        data = GmonData(sample_period=period, timestamp=timestamp, rank=rank)
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from exc
+    try:
+        names = [take(struct.unpack("<I", take(4))[0]).decode("utf-8")
+                 for _ in range(struct.unpack("<I", take(4))[0])]
+    except UnicodeDecodeError as exc:
+        raise FormatError(str(exc)) from exc
+    for idx, ticks in struct.iter_unpack("<IQ", take(12 * struct.unpack("<I", take(4))[0])):
+        if idx >= len(names):
+            raise FormatError("histogram name index out of range")
+        data.hist[names[idx]] = ticks
+    for src, dst, count in struct.iter_unpack("<IIQ", take(16 * struct.unpack("<I", take(4))[0])):
+        if max(src, dst) >= len(names):
+            raise FormatError("arc name index out of range")
+        data.arcs[(names[src], names[dst])] = count
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tables=st.lists(st.lists(names, min_size=1, max_size=5, unique=True),
+                    min_size=1, max_size=3),
+    picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2**64 - 1),
+                             st.integers(-1, 200), st.integers(0, 255)),
+                   min_size=1, max_size=12),
+)
+def test_decoder_matches_reference_parser(tables, picks):
+    """A stream of snapshots that repeat, switch and corrupt their string
+    tables decodes as the record-at-a-time reference does, and fails
+    exactly where it fails — the cache of decoded tables included."""
+    for table_no, count, cut, flip in picks:
+        funcs = tables[table_no % len(tables)]
+        snap = GmonData(hist={f: count for f in funcs},
+                        arcs={(funcs[0], funcs[-1]): count})
+        blob = bytearray(dumps_gmon(snap))
+        if cut >= 0:  # corrupt one byte, or cut the blob short
+            if cut % 2:
+                blob = blob[:cut % len(blob)]
+            else:
+                blob[cut % len(blob)] ^= flip
+        blob = bytes(blob)
+        try:
+            want = _reference_loads(blob)
+        except FormatError:
+            with pytest.raises(FormatError):
+                loads_gmon(blob)
+            continue
+        got = loads_gmon(blob)
+        assert (got.hist, got.arcs, got.rank) == (want.hist, want.arcs, want.rank)
+        assert got.timestamp == want.timestamp or (got.timestamp != got.timestamp
+                                                   and want.timestamp != want.timestamp)
+        assert got.sample_period == want.sample_period
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import random
+import struct
 import threading
 import time
 import tracemalloc
@@ -23,6 +24,7 @@ from repro.store.segments import (
 )
 from repro.util.errors import (
     CollectorError,
+    FormatError,
     SampleFileError,
     SegmentManifestError,
 )
@@ -137,6 +139,58 @@ def test_vector_tier_preserves_classification_fields(tmp_path):
         assert_same_snapshot(snap, want)
 
 
+def _dict_walk_vector_arrays(indices, snapshots):
+    """The vector tier's conversion as a walk over each parsed snapshot's
+    dicts: the reference the conversion from raw bytes must match."""
+    cols, funcs = {}, []
+    for snap in snapshots:
+        for func in snap.hist:
+            if func not in cols:
+                cols[func] = len(funcs)
+                funcs.append(func)
+    ticks = np.zeros((len(snapshots), len(funcs)), dtype=np.int64)
+    for i, snap in enumerate(snapshots):
+        for func, count in snap.hist.items():
+            ticks[i, cols[func]] = count
+    return {
+        "kind": np.array("vector"),
+        "indices": np.asarray(indices, dtype=np.int64),
+        "timestamps": np.asarray([s.timestamp for s in snapshots],
+                                 dtype=np.float64),
+        "periods": np.asarray([s.sample_period for s in snapshots],
+                              dtype=np.float64),
+        "ranks": np.asarray([s.rank for s in snapshots], dtype=np.int64),
+        "funcs": np.asarray(funcs),
+        "ticks_delta": np.diff(ticks, axis=0, prepend=np.zeros(
+            (1, ticks.shape[1]), dtype=np.int64)),
+    }
+
+
+def test_vector_conversion_matches_dict_walk_reference(tmp_path):
+    """Converting a raw segment from its bytes gives exactly the arrays
+    the dict walk gives — including a period change (the archive keeps
+    what the stream sent), a counter that falls and a function that
+    vanishes."""
+    series = make_series(60, with_arcs=True)
+    series[10].sample_period = 0.02
+    series[20].hist.pop(next(iter(series[20].hist)))
+    name = next(iter(series[30].hist))
+    series[30].hist[name] -= 5
+    store = SegmentStore(tmp_path, segment_intervals=64)
+    for i, snap in enumerate(series):
+        store.append("0", 3 * i, snap)
+    store.flush()
+    raw = store._read_segment(store._streams["0"][0])
+    pairs = list(store._iter_raw(raw))
+    want = _dict_walk_vector_arrays([i for i, _ in pairs],
+                                    [snap for _, snap in pairs])
+    got = store._vector_arrays(raw)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key].dtype == value.dtype, key
+        assert np.array_equal(got[key], value), key
+
+
 def test_compaction_reduces_disk_bytes_3x_on_10k_intervals(tmp_path):
     """The acceptance criterion: raw -> vector compaction wins >= 3x.
 
@@ -175,6 +229,20 @@ def test_sketch_tier_is_summary_only(tmp_path):
     # The newest (still-replayable) region is advertised.
     after = store.replayable_after("0")
     assert after is not None and after > series[0].timestamp
+
+
+def test_one_interval_mid_stream_segment_sketches(tmp_path):
+    """A mid-stream vector segment of one interval has no delta of its
+    own; its sketch is one zero centroid."""
+    store = SegmentStore(tmp_path, segment_intervals=1)
+    for i, snap in enumerate(make_series(3)):
+        store.append("0", i, snap)
+    store.flush()
+    store.compact("0", raw_keep=0)
+    store.compact("0", raw_keep=0, vector_keep=0)
+    sketches = store.sketches("0")
+    assert len(sketches) == 2
+    assert not sketches[-1]["centroids"].any()
 
 
 def test_window_replay_works_past_sketch_history(tmp_path):
@@ -410,6 +478,27 @@ def test_compaction_commits_conversions_before_a_corrupt_segment(tmp_path):
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(SampleFileError):
+        store.compact("0", raw_keep=0)
+    tiers = [seg.tier for seg in SegmentStore(tmp_path)._streams["0"]]
+    assert tiers == [TIER_VECTOR, TIER_RAW, TIER_RAW, TIER_RAW]
+
+
+def test_archived_non_finite_period_is_a_format_error(tmp_path):
+    """Snapshot bytes with a NaN sample period, which an older daemon
+    archived as it received them, fail the one decoder's period check
+    wherever they are read: scanning raises FormatError, and compaction
+    treats their segment like any corrupt one (the conversions before it
+    commit, it and the ones after it stay raw)."""
+    store = SegmentStore(tmp_path, segment_intervals=8)
+    for i, snap in enumerate(make_series(32)):
+        raw = bytearray(dumps_gmon(snap))
+        if i == 10:
+            raw[7:15] = struct.pack("<d", float("nan"))  # the header's period
+        store.append("0", i, snap, raw=bytes(raw))
+    store.flush()
+    with pytest.raises(FormatError, match="sample_period"):
+        list(store.scan("0"))
+    with pytest.raises(FormatError, match="sample_period"):
         store.compact("0", raw_keep=0)
     tiers = [seg.tier for seg in SegmentStore(tmp_path)._streams["0"]]
     assert tiers == [TIER_VECTOR, TIER_RAW, TIER_RAW, TIER_RAW]

@@ -400,6 +400,49 @@ def test_classify_thread_stress_matches_in_process_trackers(
 # ----------------------------------------------------------------------
 # stream lifecycle + heartbeat transport
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("period", [0.01, float("nan"), float("inf")])
+def test_non_finite_period_does_not_poison_the_stream(period):
+    """A v2 snapshot whose header carries a NaN or infinite sample
+    period counts as one ingest error and leaves the stream as if it
+    had never arrived: the adaptive centroids stay finite, and the
+    later intervals get the labels of a stream that never saw it."""
+    import struct
+
+    import numpy as np
+
+    from repro.gprof.gmon import GmonBlob, GmonData, dumps_gmon
+
+    template = OnlinePhaseTracker(functions=["a", "b", "c"],
+                                  centroids=np.eye(3), gates=np.full(3, 0.5))
+    first = bytearray(dumps_gmon(GmonData(hist={"a": 100}, timestamp=1.0)))
+    first[7:15] = struct.pack("<d", period)  # after magic and version
+    later = [GmonData(hist={"a": 100, "b": 100 * i}, timestamp=float(i + 1))
+             for i in range(1, 6)]
+    config = make_config(refit_interval=0.0)
+    with PhaseMonitorServer(template, config) as server:
+        with PhaseClient(server.endpoint) as client:
+            client.hello("s")
+            assert client.wire_version == 2
+            tracker = server.registry.get("s").tracker
+            client.snapshot("s", 0, GmonBlob(bytes(first)))
+            for seq, snap in enumerate(later, start=1):
+                client.snapshot("s", seq, GmonBlob(dumps_gmon(snap)))
+            bye = client.bye("s")
+        stats = server.stats()
+    assert bye.data["drained"] is True
+    labels = bye.data["phase_sequence"]
+    assert np.isfinite(tracker.centroids).all()
+    if period == 0.01:
+        assert labels == [0, 1, 1, 1, 1, 1]
+        assert stats["ingest_errors"] == 0
+        return
+    assert stats["ingest_errors"] == 1
+    fresh = template.spawn(zero_start=True, adaptive=config.adaptive_config())
+    for snap in later:
+        fresh.observe_snapshot(snap)
+    assert labels == fresh.phase_sequence()
+
+
 def test_idle_stream_expires():
     generator = SyntheticLoadGenerator()
     with PhaseMonitorServer(None, make_config(idle_timeout=0.15)) as server:

@@ -99,6 +99,37 @@ def test_server_archives_streams_into_segment_store(tmp_path,
     assert not [p for p in store_dir.rglob("*") if ".tmp" in p.name]
 
 
+def test_v2_ingest_builds_no_gmon_data(tmp_path, monkeypatch,
+                                     template_and_samples):
+    """Binary snapshots are differenced and archived from their bytes:
+    no ``GmonBlob.load`` during the run, the labels equal an in-process
+    tracker's, and the archive scans back the same snapshots."""
+    from repro.gprof.gmon import GmonBlob
+
+    template, samples = template_and_samples
+    loads = []
+    real_load = GmonBlob.load
+    monkeypatch.setattr(GmonBlob, "load",
+                        lambda blob: loads.append(1) or real_load(blob))
+    store_dir = tmp_path / "store"
+    with PhaseMonitorServer(
+            template, make_config(store_dir=str(store_dir))) as server:
+        report = publish_samples(server.endpoint, "v2-r0", samples,
+                                 protocols=(1, 2))
+    assert report.error == "" and report.processed == len(samples)
+    assert loads == []
+
+    reference = template.spawn(zero_start=True)
+    for snap in samples:
+        reference.observe_snapshot(snap)
+    assert report.phase_sequence == reference.phase_sequence()
+
+    got = list(SegmentStore(store_dir, create=False).scan("v2-r0"))
+    assert [i for i, _snap in got] == list(range(len(samples)))
+    for (_i, archived), sent in zip(got, samples):
+        assert dumps_gmon(archived) == dumps_gmon(loads_gmon(dumps_gmon(sent)))
+
+
 def test_server_archive_skips_resume_overlap(tmp_path, template_and_samples):
     """Replaying an already-archived prefix (client retry after restart)
     must not duplicate intervals: the monotone index check makes the

@@ -20,27 +20,18 @@ Quickstart::
         print(selected.phase_id, selected.function, selected.inst_type.value)
 """
 
-from repro import apps, core, gprof, heartbeat, incprof, profiler, simulate, util  # noqa: F401
-from repro import api  # noqa: F401  (the stable facade; see docs/API.md)
-from repro.core import AnalysisConfig, AnalysisResult, analyze_snapshots
-from repro.incprof import Session, SessionConfig
+from repro._lazy import lazy_attributes
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "api",
-    "apps",
-    "core",
-    "gprof",
-    "heartbeat",
-    "incprof",
-    "profiler",
-    "simulate",
-    "util",
-    "AnalysisConfig",
-    "AnalysisResult",
-    "analyze_snapshots",
-    "Session",
-    "SessionConfig",
-    "__version__",
-]
+# Subpackages and re-exported names load on first use, so a process pays
+# only for the layers it runs (the daemon never imports ``repro.apps``;
+# offline analysis never imports ``repro.service``).
+__getattr__, __dir__, _names = lazy_attributes(
+    __name__,
+    {"core.pipeline": ("AnalysisConfig", "AnalysisResult", "analyze_snapshots"),
+     "incprof.session": ("Session", "SessionConfig")},
+    submodules=("api", "apps", "core", "gprof", "heartbeat", "incprof",
+                "profiler", "simulate", "util"))
+
+__all__ = [*_names, "__version__"]

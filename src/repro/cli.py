@@ -429,6 +429,9 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     print(f"compacted {report['segments_compacted']} segment(s): "
           f"{report['bytes_before']} -> {report['bytes_after']} bytes"
           + (f" ({ratio:.1f}x smaller, {saved} saved)" if saved > 0 else ""))
+    if report.get("segments_failed"):
+        print(f"error: {report['segments_failed']} unreadable segment(s) "
+              f"stay at their tier; last: {store.describe()['conversion_error']}")
     if removed:
         print(f"gc removed {len(removed)} versioned artifact(s)")
     describe = getattr(store, "describe", None)
@@ -440,7 +443,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
               f"(raw {tiers['0']['segments']}, "
               f"vector {tiers['1']['segments']}, "
               f"sketch {tiers['2']['segments']} segments)")
-    return 0
+    return 1 if report.get("segments_failed") else 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.model import SelectedSite
 from repro.core.intervals import IntervalData
 from repro.core.pipeline import AnalysisResult
-from repro.simulate.engine import SPONTANEOUS
+from repro.gprof.gmon import SPONTANEOUS
 from repro.util.errors import ValidationError
 
 

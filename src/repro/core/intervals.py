@@ -20,8 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.gprof.flatprofile import FlatProfile
-from repro.gprof.gmon import GmonBlob, GmonColumns, GmonData, decode_gmon
-from repro.simulate.engine import SPONTANEOUS
+from repro.gprof.gmon import SPONTANEOUS, GmonBlob, GmonColumns, GmonData, decode_gmon
 from repro.util.errors import ProfileDataError, ValidationError
 
 

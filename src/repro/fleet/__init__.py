@@ -27,33 +27,16 @@ See ``docs/FLEET.md`` for the architecture and failure model, and
 ``docs/ANALYTICS.md`` for the analytics layer.
 """
 
-from repro.fleet.analytics import (
-    PhaseSignature,
-    analyze_fleet_dir,
-    analyze_signatures,
-    cluster_signatures,
-    detect_drift,
-    flag_anomalies,
-)
-from repro.fleet.ring import HashRing
-from repro.fleet.router import FleetRouter, RouterConfig
-from repro.fleet.supervisor import (
-    FleetConfig,
-    WorkerHandle,
-    WorkerSupervisor,
-)
+from repro._lazy import lazy_attributes
 
-__all__ = [
-    "FleetConfig",
-    "FleetRouter",
-    "HashRing",
-    "PhaseSignature",
-    "RouterConfig",
-    "WorkerHandle",
-    "WorkerSupervisor",
-    "analyze_fleet_dir",
-    "analyze_signatures",
-    "cluster_signatures",
-    "detect_drift",
-    "flag_anomalies",
-]
+# Names resolve on first use: a daemon that imports ``repro.fleet.ring``
+# for its ownership check loads no router, supervisor or analytics code.
+__getattr__, __dir__, _names = lazy_attributes(__name__, {
+    "analytics": ("PhaseSignature", "analyze_fleet_dir", "analyze_signatures",
+                  "cluster_signatures", "detect_drift", "flag_anomalies"),
+    "ring": ("HashRing",),
+    "router": ("FleetRouter", "RouterConfig"),
+    "supervisor": ("FleetConfig", "WorkerHandle", "WorkerSupervisor"),
+})
+
+__all__ = sorted(_names)

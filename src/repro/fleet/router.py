@@ -31,13 +31,12 @@ from __future__ import annotations
 import socket
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core.cohorts import CohortMatcher
 from repro.fleet.analytics import PhaseSignature, analyze_signatures
 from repro.fleet.supervisor import WorkerSupervisor
 from repro.service.client import PhaseClient, RetryPolicy
-from repro.service.dashboard import DashboardServer
 from repro.service.exposition import CONTENT_TYPE, render_prometheus
 from repro.service.metrics import aggregate_worker_stats
 from repro.service.protocol import (
@@ -64,6 +63,9 @@ from repro.util.errors import (
     ValidationError,
 )
 from repro.util.jsonlog import JsonLogger
+
+if TYPE_CHECKING:  # imported in start() only when a dashboard port is set
+    from repro.service.webserver import DashboardServer
 
 ROUTER_MODES = ("proxy", "redirect")
 
@@ -154,6 +156,8 @@ class FleetRouter:
         self._stopped.clear()
         self._spawn(self._accept_loop, "fleet-router-accept")
         if cfg.dashboard_port is not None:
+            from repro.service.webserver import DashboardServer
+
             self.dashboard_http = DashboardServer(
                 self.fleet_analytics_report,
                 host=cfg.dashboard_host, port=cfg.dashboard_port,

@@ -15,28 +15,16 @@ the equivalent pieces:
 - :mod:`repro.gprof.reports` — whole-report rendering and parsing.
 """
 
-from repro.gprof.gmon import GmonData, read_gmon, write_gmon, dumps_gmon, loads_gmon
-from repro.gprof.flatprofile import FlatProfile, FlatProfileEntry
-from repro.gprof.callgraph import CallGraphProfile, CallGraphEntry
-from repro.gprof.reports import render_gprof_report, parse_flat_profile
-from repro.gprof.gcov import CoverageData, CoverageProfiler, intervals_from_coverage
-from repro.gprof.merge import merge_gmons, merge_sample_series
+from repro._lazy import lazy_attributes
 
-__all__ = [
-    "GmonData",
-    "read_gmon",
-    "write_gmon",
-    "dumps_gmon",
-    "loads_gmon",
-    "FlatProfile",
-    "FlatProfileEntry",
-    "CallGraphProfile",
-    "CallGraphEntry",
-    "render_gprof_report",
-    "parse_flat_profile",
-    "CoverageData",
-    "CoverageProfiler",
-    "intervals_from_coverage",
-    "merge_gmons",
-    "merge_sample_series",
-]
+# Names resolve on first use: ``gcov`` imports the simulation engine,
+# which imports ``gmon`` for the root caller's name, so an eager package
+# would import ``gcov`` half-way through loading the engine.
+__getattr__, __dir__, __all__ = lazy_attributes(__name__, {
+    "gmon": ("GmonData", "read_gmon", "write_gmon", "dumps_gmon", "loads_gmon"),
+    "flatprofile": ("FlatProfile", "FlatProfileEntry"),
+    "callgraph": ("CallGraphProfile", "CallGraphEntry"),
+    "reports": ("render_gprof_report", "parse_flat_profile"),
+    "gcov": ("CoverageData", "CoverageProfiler", "intervals_from_coverage"),
+    "merge": ("merge_gmons", "merge_sample_series"),
+})

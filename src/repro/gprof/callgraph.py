@@ -7,19 +7,17 @@ mentions ongoing work with the call-graph data; we implement it both for
 fidelity of the substrate and for the call-graph ablation bench.
 
 Cycles are handled the way gprof does conceptually: strongly connected
-components are collapsed and treated as a unit for propagation (we use
-networkx's condensation for this).
+components are collapsed and treated as a unit for propagation.  They
+come from an iterative Tarjan pass (:func:`strongly_connected`), whose
+sinks-first order is the bottom-up order propagation needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
-import networkx as nx
-
-from repro.gprof.gmon import GmonData
-from repro.simulate.engine import SPONTANEOUS
+from repro.gprof.gmon import SPONTANEOUS, GmonData
 
 
 @dataclass(frozen=True)
@@ -58,42 +56,44 @@ class CallGraphProfile:
 
     @classmethod
     def from_gmon(cls, data: GmonData) -> "CallGraphProfile":
-        graph = nx.DiGraph()
-        for name in data.functions():
-            if name != SPONTANEOUS:
-                graph.add_node(name)
-        for (caller, callee), count in data.arcs.items():
-            if caller == SPONTANEOUS or caller == callee:
-                continue
-            graph.add_edge(caller, callee, calls=count)
-
-        # Propagate total time bottom-up over the condensation (gprof's
-        # "time propagation" step): total(f) = self(f) + sum over callees
-        # of total(callee) * (calls f->callee / total calls into callee).
-        cond = nx.condensation(graph)
-        totals: Dict[str, float] = {}
+        # Out-arcs per function, in ``data.arcs`` order: the propagation
+        # sums below add callee shares in that order.
+        out_arcs: Dict[str, List[Tuple[str, int]]] = {
+            name: [] for name in data.functions() if name != SPONTANEOUS}
         calls_in: Dict[str, int] = {}
         for (caller, callee), count in data.arcs.items():
             if caller == callee:
                 continue
             calls_in[callee] = calls_in.get(callee, 0) + count
+            if caller != SPONTANEOUS:
+                out_arcs[caller].append((callee, count))
+                out_arcs.setdefault(callee, [])
 
-        for scc_id in reversed(list(nx.topological_sort(cond))):
-            members = cond.nodes[scc_id]["members"]
-            scc_self = sum(data.self_seconds(m) for m in members)
+        # Propagate total time bottom-up over the components (gprof's
+        # "time propagation" step): total(f) = self(f) + sum over callees
+        # of total(callee) * (calls f->callee / total calls into callee).
+        # Components arrive callees first, so every callee outside the
+        # component already has its total.
+        totals: Dict[str, float] = {}
+        successors = {name: [callee for callee, _ in arcs]
+                      for name, arcs in out_arcs.items()}
+        for component in strongly_connected(successors):
+            members = sorted(component)
+            inside = set(members)
             scc_children = 0.0
             for member in members:
-                for _caller, callee, attrs in graph.out_edges(member, data=True):
-                    if callee in members:
+                for callee, count in out_arcs[member]:
+                    if callee in inside:
                         continue  # intra-cycle arcs don't propagate
-                    share = attrs["calls"] / max(1, calls_in.get(callee, attrs["calls"]))
-                    scc_children += totals.get(callee, data.self_seconds(callee)) * share
-            scc_total = scc_self + scc_children
+                    share = count / max(1, calls_in.get(callee, count))
+                    scc_children += totals[callee] * share
+            if len(members) == 1:
+                totals[members[0]] = data.self_seconds(members[0]) + scc_children
+                continue
+            # Within a cycle gprof reports the cycle total on each member.
+            scc_total = sum(data.self_seconds(m) for m in members) + scc_children
             for member in members:
-                # Within a cycle gprof reports the cycle total on each member.
-                totals[member] = scc_total if len(members) > 1 else (
-                    data.self_seconds(member) + scc_children
-                )
+                totals[member] = scc_total
 
         entries: Dict[str, CallGraphEntry] = {}
         order = sorted(totals, key=lambda n: (-totals[n], n))
@@ -158,11 +158,49 @@ class CallGraphProfile:
         return "\n".join(lines) + "\n"
 
 
-def ancestors_of(data: GmonData, func: str) -> List[str]:
-    """All (transitive) callers of ``func`` in the arc graph."""
-    graph = nx.DiGraph()
-    for (caller, callee) in data.arcs:
-        graph.add_edge(caller, callee)
-    if func not in graph:
-        return []
-    return sorted(nx.ancestors(graph, func) - {SPONTANEOUS})
+def strongly_connected(successors: Mapping[str, Iterable[str]]) -> List[List[str]]:
+    """Strongly connected components of a directed graph, sinks first.
+
+    ``successors`` maps every node to the nodes it has arcs into.  This
+    is Tarjan's algorithm with an explicit stack, so call chains of any
+    depth stay within Python's recursion limit.  A component comes out
+    only after every component it has an arc into.
+    """
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    stack: List[str] = []
+    on_stack = set()
+    components: List[List[str]] = []
+    for root in successors:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            node, pending = work[-1]
+            for child in pending:
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(successors[child])))
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components

@@ -26,6 +26,10 @@ from repro.util.errors import FormatError, ValidationError
 MAGIC = b"IGMON"
 VERSION = 1
 
+#: Pseudo-caller at the root of the call tree: gprof's name for the
+#: parent of a function entered from outside the profiled code.
+SPONTANEOUS = "<spontaneous>"
+
 _HEADER = struct.Struct("<5sHddi")  # magic, version, sample_period, timestamp, rank
 _U32 = struct.Struct("<I")
 _HIST_REC = struct.Struct("<IQ")  # name index, tick count

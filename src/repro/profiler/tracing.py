@@ -58,9 +58,8 @@ import time
 from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.gprof.gmon import GmonData
+from repro.gprof.gmon import SPONTANEOUS, GmonData
 from repro.profiler.sampling import DEFAULT_SAMPLE_PERIOD
-from repro.simulate.engine import SPONTANEOUS
 from repro.util.errors import CollectorError, ValidationError
 
 NameFilter = Callable[[str], bool]

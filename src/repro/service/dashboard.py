@@ -1,8 +1,6 @@
-"""Minimal stdlib live dashboard for fleet analytics.
+"""Minimal live dashboard for fleet analytics: the HTML renderer.
 
-One daemon thread, one :class:`~http.server.ThreadingHTTPServer` (the
-:class:`~repro.service.exposition.MetricsHTTPServer` pattern), three
-routes:
+:class:`~repro.service.webserver.DashboardServer` serves three routes:
 
 - ``/`` — server-rendered HTML: cohort summary, per-stream phase
   timeline strips, anomaly and drift-event tables.  No javascript
@@ -19,14 +17,11 @@ merged fleet view).
 from __future__ import annotations
 
 import html
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.online import NOVEL
 
-__all__ = ["DashboardServer", "render_dashboard_html"]
+__all__ = ["render_dashboard_html"]
 
 #: Glyph per phase id for the timeline strips (NOVEL renders as ``!``).
 _PHASE_GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -136,92 +131,3 @@ def render_dashboard_html(report: Dict[str, Any],
                  '<a href="/analytics.json">analytics.json</a></p>')
     parts.append("</body></html>")
     return "".join(parts)
-
-
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "incprofd-dashboard/1"
-
-    def _send(self, body: bytes, content_type: str) -> None:
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
-        path = self.path.split("?", 1)[0]
-        if path == "/healthz":
-            self._send(b"ok\n", "text/plain; charset=utf-8")
-            return
-        if path not in ("/", "/analytics.json"):
-            self.send_error(404, "only /, /analytics.json and /healthz "
-                                 "are served")
-            return
-        try:
-            report = self.server.report_fn()  # type: ignore[attr-defined]
-        except Exception as exc:  # pragma: no cover - defensive
-            self.send_error(500, str(exc))
-            return
-        if path == "/analytics.json":
-            self._send(json.dumps(report, sort_keys=True).encode("utf-8"),
-                       "application/json; charset=utf-8")
-        else:
-            title = self.server.title  # type: ignore[attr-defined]
-            self._send(render_dashboard_html(report, title=title)
-                       .encode("utf-8"),
-                       "text/html; charset=utf-8")
-
-    def log_message(self, fmt: str, *args: Any) -> None:
-        # Same contract as the metrics endpoint: silent on stderr.
-        pass
-
-
-class DashboardServer:
-    """A stdlib HTTP dashboard over an analytics-report callable.
-
-    ``report_fn`` returns the JSON-ready report dict (typically a fresh
-    ``fleet_analytics`` pass); each GET renders it server-side.  Runs on
-    one daemon thread, threaded per request, same lifecycle surface as
-    :class:`~repro.service.exposition.MetricsHTTPServer`.
-    """
-
-    def __init__(self, report_fn: Callable[[], Dict[str, Any]],
-                 host: str = "127.0.0.1", port: int = 0,
-                 title: str = "incprofd fleet analytics") -> None:
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.report_fn = report_fn  # type: ignore[attr-defined]
-        self._httpd.title = title  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}/"
-
-    def start(self) -> "DashboardServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        name="incprofd-dashboard-http",
-                                        daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "DashboardServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

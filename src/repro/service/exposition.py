@@ -8,7 +8,8 @@ classify-latency window as a summary with ``quantile`` labels.
 Two transports serve the same text:
 
 - the wire protocol's ``metrics`` control request (``incprof metrics``),
-- a tiny stdlib HTTP endpoint (:class:`MetricsHTTPServer`, enabled with
+- a tiny stdlib HTTP endpoint
+  (:class:`~repro.service.webserver.MetricsHTTPServer`, enabled with
   ``incprof serve --metrics-port``) so an off-the-shelf Prometheus
   scraper needs no knowledge of the incprofd framing.
 """
@@ -16,9 +17,7 @@ Two transports serve the same text:
 from __future__ import annotations
 
 import math
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.util.errors import ValidationError
 
@@ -154,6 +153,9 @@ def render_prometheus(stats: Dict[str, Any], prefix: str = "incprofd") -> str:
         ("flush_seconds", "Wall seconds spent in interval-archive flushes."),
         ("compactor_failures", "Interval-archive maintenance passes that "
                                "raised; the compactor retries next tick."),
+        ("conversion_failures", "Interval-archive segments a compaction "
+                                "pass could not convert; they stay at "
+                                "their tier."),
     ):
         if key in store:
             emit(f"{prefix}_store_{key}_total", "counter", help_text,
@@ -213,83 +215,3 @@ def parse_prometheus(text: str) -> Dict[str, float]:
             raise ValidationError(
                 f"line {lineno}: bad sample value {value!r}") from exc
     return out
-
-
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "incprofd-metrics/1"
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
-        if self.path.split("?", 1)[0] in ("/metrics", "/"):
-            try:
-                body = self.server.render_fn().encode("utf-8")  # type: ignore[attr-defined]
-            except Exception as exc:  # pragma: no cover - defensive
-                self.send_error(500, str(exc))
-                return
-            self.send_response(200)
-            self.send_header("Content-Type", CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        elif self.path == "/healthz":
-            body = b"ok\n"
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        else:
-            self.send_error(404, "only /metrics and /healthz are served")
-
-    def log_message(self, fmt: str, *args: Any) -> None:
-        # The scrape path must stay silent on stderr; the daemon's own
-        # structured logger covers lifecycle events.
-        pass
-
-
-class MetricsHTTPServer:
-    """A stdlib HTTP ``/metrics`` endpoint over a render callable.
-
-    ``render_fn`` returns the exposition text; typically
-    ``lambda: render_prometheus(server.stats())``.  The endpoint runs on
-    one daemon thread and serves each scrape on its own (threading
-    server), so a stalled scraper cannot block the next one.
-    """
-
-    def __init__(self, render_fn, host: str = "127.0.0.1",
-                 port: int = 0) -> None:
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.render_fn = render_fn  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}/metrics"
-
-    def start(self) -> "MetricsHTTPServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        name="incprofd-metrics-http",
-                                        daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "MetricsHTTPServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

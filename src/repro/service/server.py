@@ -42,7 +42,7 @@ import traceback
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from queue import Empty, Queue
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.core.incremental import AdaptiveConfig, DriftConfig
 from repro.core.model_io import MODEL_MAGIC, MODEL_SCHEMA, pack_artifact
@@ -66,12 +66,7 @@ from repro.service.faults import (
     FaultInjector,
 )
 from repro.core.cohorts import CohortMatcher
-from repro.service.dashboard import DashboardServer
-from repro.service.exposition import (
-    CONTENT_TYPE,
-    MetricsHTTPServer,
-    render_prometheus,
-)
+from repro.service.exposition import CONTENT_TYPE, render_prometheus
 from repro.service.metrics import ServiceMetrics, StageClock
 from repro.service.protocol import (
     BINARY_PROTOCOL_VERSION,
@@ -108,6 +103,9 @@ from repro.util.errors import (
     StreamConflictError,
     ValidationError,
 )
+
+if TYPE_CHECKING:  # imported in start() only when an HTTP port is set
+    from repro.service.webserver import DashboardServer, MetricsHTTPServer
 
 #: Admission outcomes of one snapshot (also used on the wire in replies).
 ACCEPTED = "accepted"
@@ -439,11 +437,15 @@ class PhaseMonitorServer:
             # slow compaction never stalls the housekeeping cadence.
             self.store.start_compactor(interval=cfg.store_compact_interval)
         if cfg.metrics_port is not None:
+            from repro.service.webserver import MetricsHTTPServer
+
             self.metrics_http = MetricsHTTPServer(
                 lambda: render_prometheus(self.stats()),
                 host=cfg.metrics_host, port=cfg.metrics_port)
             self.metrics_http.start()
         if cfg.dashboard_port is not None:
+            from repro.service.webserver import DashboardServer
+
             title = (f"incprofd {cfg.worker_id} analytics" if cfg.worker_id
                      else "incprofd analytics")
             self.dashboard_http = DashboardServer(
@@ -1198,42 +1200,46 @@ class PhaseMonitorServer:
         """
         clock = StageClock()
         n_items = sum(len(batch) for _state, batch in work)
-        preps: List[Tuple[StreamState, List[Entry], List[Any], int]] = []
+        preps: List[Tuple[StreamState, List[Entry], List[Entry], List[Any]]] = []
         for state, batch in work:
-            errors = 0
             # Universe-projected delta vectors (see delta_vector) — the
             # classify pass consumes them without re-vectorizing.  A v2
             # snapshot is differenced straight from its bytes.
             profiles: List[Any] = []
+            # The entries differencing accepted: only these count as
+            # classified work and reach the archive.
+            kept = batch
             if state.tracker is not None:
-                for (_seq, gmon, _tid, _put), _admitted in batch:
+                kept = []
+                for entry in batch:
                     try:
-                        profile = state.tracker.delta_vector(gmon)
+                        profile = state.tracker.delta_vector(entry[0][1])
                     except ReproError:
                         # A single inconsistent snapshot (e.g. mismatched
                         # sample period) must not fail the whole tick;
-                        # it leaves the stream's differencer as it was.
-                        errors += 1
+                        # it leaves the stream's differencer as it was,
+                        # and stays out of the archive, whose replay
+                        # would stop at it.
                         self.metrics.note_ingest_error()
                         continue
+                    kept.append(entry)
                     if profile is not None:
                         profiles.append(profile)
-            preps.append((state, batch, profiles, errors))
+            preps.append((state, batch, kept, profiles))
         clock.lap("difference", n_items)
         groups = [(state.tracker, profiles)
-                  for state, _batch, profiles, _err in preps
+                  for state, _batch, _kept, profiles in preps
                   if state.tracker is not None]
         tracked_groups = classify_across(groups)
         clock.lap("classify", sum(len(profiles) for _trk, profiles in groups))
-        total_counted = sum(len(batch) - errors
-                            for _s, batch, _p, errors in preps)
+        total_counted = sum(len(kept) for _s, _b, kept, _p in preps)
         per_item = ((clock.seconds["difference"] + clock.seconds["classify"])
                     / max(1, total_counted))
         tracked_iter = iter(tracked_groups)
-        for state, batch, _profiles, errors in preps:
+        for state, batch, kept, _profiles in preps:
             tracked: List[Any] = (list(next(tracked_iter))
                                   if state.tracker is not None else [])
-            counted = len(batch) - errors
+            counted = len(kept)
             novel_count = sum(1 for t in tracked if t.is_novel)
             # Primed first snapshots and tracker-less streams still
             # count as processed work, exactly as before batching.
@@ -1250,7 +1256,7 @@ class PhaseMonitorServer:
                                           max(entry[0] for entry, _t in batch))
             clock.lap("aggregate", len(batch))
             if self.store is not None:
-                clock.lap("archive", self._archive_batch(state, batch))
+                clock.lap("archive", self._archive_batch(state, kept))
         # Every trace gets an equal share of each lap, so the spans of a
         # tick's traces sum to exactly what the other sinks receive.
         shares = [(stage, seconds / max(1, n_items))
@@ -1258,7 +1264,7 @@ class PhaseMonitorServer:
         enqueued = dequeued = 0.0
         closes: List[Tuple[str, List[Tuple[str, float]]]] = []
         origins: List[Tuple[StreamState, int]] = []
-        for state, batch, _profiles, _errors in preps:
+        for state, batch, _kept, _profiles in preps:
             for (seq, _gmon, trace_id, put_start), admitted in batch:
                 enqueue = admitted - put_start
                 dequeue = clock.start - admitted
@@ -1285,8 +1291,8 @@ class PhaseMonitorServer:
                            for k, v in record.spans.items()})
 
     def _archive_batch(self, state: StreamState, batch: List[Entry]) -> int:
-        """Append one classified batch's raw gmon bytes to the archive;
-        return how many intervals were appended.
+        """Append the raw gmon bytes of one batch's differenced entries
+        to the archive; return how many intervals were appended.
 
         Runs under the stream's ``work_lock`` after commit, so per-stream
         interval order is preserved.  A sequence number at or below the

@@ -26,13 +26,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.gprof.gmon import SPONTANEOUS
 from repro.simulate.clock import TIME_EPS, VirtualClock
 from repro.simulate.overhead import CostModel
 from repro.util.errors import ValidationError
-
-#: Pseudo-caller used for the root of the call tree, mirroring gprof's
-#: ``<spontaneous>`` parent.
-SPONTANEOUS = "<spontaneous>"
 
 
 @dataclass(frozen=True)

@@ -10,42 +10,22 @@ The public surface re-exported here (and through :mod:`repro.api`):
 - :mod:`repro.store.layout` — the single source of truth for on-disk
   naming (file patterns, tmp suffixes, versioned-artifact GC).
 
-Attributes resolve lazily (PEP 562): ``repro.util`` imports ``atomicio``
-eagerly and ``atomicio`` consults :mod:`repro.store.layout` for temp-file
-naming, so this package must be importable without pulling in the
-backend modules (which themselves import ``repro.util.atomicio``).
+Attributes resolve lazily (PEP 562): ``repro.util.atomicio`` consults
+:mod:`repro.store.layout` for temp-file naming, so this package must be
+importable without pulling in the backend modules (which themselves
+import ``repro.util.atomicio``).
 """
 
 from __future__ import annotations
 
+from repro._lazy import lazy_attributes
 from repro.store import layout  # noqa: F401  (leaf module: safe to eager-load)
 
-_LAZY = {
-    "IntervalStore": "repro.store.interface",
-    "ReplayResult": "repro.store.interface",
-    "LooseStore": "repro.store.loose",
-    "CompactionPolicy": "repro.store.segments",
-    "SegmentMeta": "repro.store.segments",
-    "SegmentStore": "repro.store.segments",
-    "TIER_RAW": "repro.store.segments",
-    "TIER_SKETCH": "repro.store.segments",
-    "TIER_VECTOR": "repro.store.segments",
-    "open_store": "repro.store.segments",
-}
+__getattr__, __dir__, _names = lazy_attributes(__name__, {
+    "interface": ("IntervalStore", "ReplayResult"),
+    "loose": ("LooseStore",),
+    "segments": ("CompactionPolicy", "SegmentMeta", "SegmentStore", "TIER_RAW",
+                 "TIER_SKETCH", "TIER_VECTOR", "open_store"),
+})
 
-__all__ = ["layout", *sorted(_LAZY)]
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+__all__ = ["layout", *sorted(_names)]

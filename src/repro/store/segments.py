@@ -51,6 +51,7 @@ from repro.store.interface import IntervalStore
 from repro.util.atomicio import atomic_write_bytes
 from repro.util.errors import (
     CollectorError,
+    ReproError,
     SampleFileError,
     SegmentManifestError,
     ValidationError,
@@ -178,6 +179,10 @@ class SegmentStore(IntervalStore):
         #: of the last one (the compactor retries on its next tick).
         self.compactor_failures = 0
         self.compactor_traceback: Optional[str] = None
+        #: Segment conversions that raised (the segment stays at its
+        #: tier and the pass goes on), and the last one's error.
+        self.conversion_failures = 0
+        self.conversion_error: Optional[str] = None
         if create:
             self.root.mkdir(parents=True, exist_ok=True)
         elif not self.root.is_dir():
@@ -571,12 +576,15 @@ class SegmentStore(IntervalStore):
         A pass is crash-safe as a whole: every new segment file lands
         first, then the manifest commits once (atomic rename), then the
         replaced files are unlinked — at every instant the manifest
-        references exactly one complete copy of every interval.
+        references exactly one complete copy of every interval.  A
+        segment that cannot be read or converted stays at its tier and
+        counts in ``segments_failed``; the pass goes on past it.
         """
         raw_keep = self.policy.raw_keep if raw_keep is None else raw_keep
         vector_keep = (self.policy.vector_keep if vector_keep is None
                        else max(vector_keep, raw_keep))
-        report = {"segments_compacted": 0, "bytes_before": 0, "bytes_after": 0}
+        report = {"segments_compacted": 0, "segments_failed": 0,
+                  "bytes_before": 0, "bytes_after": 0}
         replaced: List[SegmentMeta] = []
         with self._lock:
             targets = ([stream_id] if stream_id is not None
@@ -599,12 +607,20 @@ class SegmentStore(IntervalStore):
                             to_tier = TIER_SKETCH
                         else:
                             continue
-                        segs[pos] = self._convert(sid, seg, to_tier)
+                        try:
+                            segs[pos] = self._convert(sid, seg, to_tier)
+                        except ReproError as exc:
+                            # Retrying it first on every pass would hold
+                            # back every segment after it for good.
+                            report["segments_failed"] += 1
+                            self.conversion_failures += 1
+                            self.conversion_error = f"{seg.name}: {exc}"
+                            continue
                         replaced.append(seg)
                         report["bytes_before"] += seg.bytes
                         report["bytes_after"] += segs[pos].bytes
             finally:
-                # A failed conversion still commits the ones before it.
+                # A pass that raised still commits the conversions before it.
                 if replaced:
                     self._write_manifest()
                     for seg in replaced:
@@ -702,6 +718,8 @@ class SegmentStore(IntervalStore):
                 "flush_seconds": self.flush_seconds,
                 "compactor_failures": self.compactor_failures,
                 "compactor_traceback": self.compactor_traceback,
+                "conversion_failures": self.conversion_failures,
+                "conversion_error": self.conversion_error,
                 "pending_intervals": sum(len(p.indices)
                                          for p in self._pending.values()),
                 "tiers": {str(t): info for t, info in tiers.items()},

@@ -4,38 +4,17 @@ These helpers are deliberately dependency-light; everything else in
 :mod:`repro` builds on them.
 """
 
-from repro.util.atomicio import atomic_write_bytes
-from repro.util.errors import (
-    ReproError,
-    ValidationError,
-    FormatError,
-    SampleFileError,
-    ModelFormatError,
-    CheckpointError,
-    ProfileDataError,
-    ClusteringError,
-    CollectorError,
-    AppError,
-)
-from repro.util.rng import derive_seed, rng_stream
-from repro.util.tables import Table
-from repro.util.asciiplot import AsciiPlot, sparkline
+from repro._lazy import lazy_attributes
 
-__all__ = [
-    "ReproError",
-    "ValidationError",
-    "FormatError",
-    "SampleFileError",
-    "ModelFormatError",
-    "CheckpointError",
-    "ProfileDataError",
-    "ClusteringError",
-    "CollectorError",
-    "AppError",
-    "atomic_write_bytes",
-    "derive_seed",
-    "rng_stream",
-    "Table",
-    "AsciiPlot",
-    "sparkline",
-]
+# Names resolve on first use: ``atomicio`` imports ``repro.store.layout``,
+# which imports ``repro.util.errors``, so an eager package would import
+# ``atomicio`` half-way through loading the store's layout.
+__getattr__, __dir__, __all__ = lazy_attributes(__name__, {
+    "errors": ("ReproError", "ValidationError", "FormatError", "SampleFileError",
+               "ModelFormatError", "CheckpointError", "ProfileDataError",
+               "ClusteringError", "CollectorError", "AppError"),
+    "atomicio": ("atomic_write_bytes",),
+    "rng": ("derive_seed", "rng_stream"),
+    "tables": ("Table",),
+    "asciiplot": ("AsciiPlot", "sparkline"),
+})

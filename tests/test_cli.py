@@ -216,3 +216,26 @@ def test_sweep_scenarios_enforces_floor(capsys):
     assert main(["sweep-scenarios", "--n", "2", "--tiers", "easy",
                  "--min-median", "easy=1.1"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_compact_reports_unreadable_segments(tmp_path, capsys):
+    """A segment compaction cannot read stays raw, the rest compact, and
+    the command names it and exits 1."""
+    import struct
+
+    from repro.gprof.gmon import GmonData, dumps_gmon
+    from repro.store.segments import TIER_RAW, TIER_VECTOR, SegmentStore
+
+    with SegmentStore(tmp_path, segment_intervals=4) as store:
+        for i in range(12):
+            snap = GmonData(hist={"a": 10 * (i + 1)}, timestamp=float(i + 1))
+            raw = bytearray(dumps_gmon(snap))
+            if i == 1:
+                raw[7:15] = struct.pack("<d", float("nan"))  # the header's period
+            store.append("s", i, snap, raw=bytes(raw))
+    assert main(["compact", str(tmp_path), "--raw-keep", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "compacted 1 segment(s)" in out
+    assert "error: 1 unreadable segment(s)" in out and "sample_period" in out
+    tiers = [seg.tier for seg in SegmentStore(tmp_path)._streams["s"]]
+    assert tiers == [TIER_RAW, TIER_VECTOR, TIER_RAW]

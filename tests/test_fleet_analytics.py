@@ -24,7 +24,7 @@ from repro.fleet.analytics import (
     flag_anomalies,
 )
 from repro.gprof.gmon import GmonData
-from repro.service.dashboard import DashboardServer, render_dashboard_html
+from repro.service import DashboardServer, render_dashboard_html
 from repro.store.segments import SegmentStore
 from repro.util.errors import ValidationError
 

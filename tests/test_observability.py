@@ -22,6 +22,7 @@ from repro.service import (
     STAGES,
     BoundedStreamQueue,
     Endpoint,
+    MetricsHTTPServer,
     PhaseClient,
     PhaseMonitorServer,
     ServerConfig,
@@ -30,7 +31,6 @@ from repro.service import (
     publish_samples,
     render_prometheus,
 )
-from repro.service.exposition import MetricsHTTPServer
 from repro.service.selfekg import (
     SELF_RANK,
     SELF_RECORD_RING,

@@ -477,31 +477,42 @@ def test_compaction_commits_conversions_before_a_corrupt_segment(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
-    with pytest.raises(SampleFileError):
-        store.compact("0", raw_keep=0)
+    report = store.compact("0", raw_keep=0)
+    assert report["segments_compacted"] == 2
+    assert report["segments_failed"] == 1
+    # The newest segment holds the newest interval, so raw_keep=0 keeps it.
     tiers = [seg.tier for seg in SegmentStore(tmp_path)._streams["0"]]
-    assert tiers == [TIER_VECTOR, TIER_RAW, TIER_RAW, TIER_RAW]
+    assert tiers == [TIER_VECTOR, TIER_RAW, TIER_VECTOR, TIER_RAW]
+    assert store.describe()["conversion_failures"] == 1
+    assert store.describe()["conversion_error"].startswith(bad.name)
 
 
 def test_archived_non_finite_period_is_a_format_error(tmp_path):
     """Snapshot bytes with a NaN sample period, which an older daemon
     archived as it received them, fail the one decoder's period check
     wherever they are read: scanning raises FormatError, and compaction
-    treats their segment like any corrupt one (the conversions before it
-    commit, it and the ones after it stay raw)."""
+    treats their segment like any corrupt one (it stays raw, and the
+    pass converts every other segment, of this stream and the next)."""
     store = SegmentStore(tmp_path, segment_intervals=8)
     for i, snap in enumerate(make_series(32)):
         raw = bytearray(dumps_gmon(snap))
         if i == 10:
             raw[7:15] = struct.pack("<d", float("nan"))  # the header's period
         store.append("0", i, snap, raw=bytes(raw))
+        store.append("1", i, snap)
     store.flush()
     with pytest.raises(FormatError, match="sample_period"):
         list(store.scan("0"))
-    with pytest.raises(FormatError, match="sample_period"):
-        store.compact("0", raw_keep=0)
-    tiers = [seg.tier for seg in SegmentStore(tmp_path)._streams["0"]]
-    assert tiers == [TIER_VECTOR, TIER_RAW, TIER_RAW, TIER_RAW]
+    for _ in range(2):  # a later pass meets the same segment and goes on
+        report = store.compact(raw_keep=0)
+        assert report["segments_failed"] == 1
+    assert report["segments_compacted"] == 0
+    # The newest segment holds the newest interval, so raw_keep=0 keeps it.
+    reopened = SegmentStore(tmp_path)._streams
+    assert [seg.tier for seg in reopened["0"]] == [TIER_VECTOR, TIER_RAW,
+                                                   TIER_VECTOR, TIER_RAW]
+    assert [seg.tier for seg in reopened["1"]] == [TIER_VECTOR] * 3 + [TIER_RAW]
+    assert "sample_period" in store.describe()["conversion_error"]
 
 
 def test_raw_segment_written_by_savez_compressed_still_scans(tmp_path):

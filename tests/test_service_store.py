@@ -130,6 +130,41 @@ def test_v2_ingest_builds_no_gmon_data(tmp_path, monkeypatch,
         assert dumps_gmon(archived) == dumps_gmon(loads_gmon(dumps_gmon(sent)))
 
 
+def test_server_archives_only_what_it_differenced(tmp_path):
+    """A snapshot whose differencing failed counts as an ingest error and
+    stays out of the archive, so the archived stream replays end to end
+    (an archived mismatched-period snapshot used to stop the replay)."""
+    import numpy as np
+
+    from repro.gprof.gmon import GmonBlob, GmonData
+    from repro.service import PhaseClient
+    from repro.store.segments import open_store
+
+    template = OnlinePhaseTracker(functions=["a", "b", "c"],
+                                  centroids=np.eye(3), gates=np.full(3, 0.5))
+    store_dir = tmp_path / "store"
+    with PhaseMonitorServer(
+            template, make_config(store_dir=str(store_dir))) as server:
+        with PhaseClient(server.endpoint) as client:
+            client.hello("s")
+            assert client.wire_version == 2
+            for seq in range(10):
+                snap = GmonData(sample_period=0.02 if seq == 4 else 0.01,
+                                hist={"a": 100 * (seq + 1), "b": 50 * seq},
+                                timestamp=float(seq + 1))
+                client.snapshot("s", seq, GmonBlob(dumps_gmon(snap)))
+            bye = client.bye("s")
+        stats = server.stats()
+    assert stats["ingest_errors"] == 1
+    assert len(bye.data["phase_sequence"]) == 9
+
+    store = open_store(store_dir)
+    assert [i for i, _snap in store.scan("s")] == [0, 1, 2, 3, 5, 6, 7, 8, 9]
+    result = store.replay("s")
+    assert result.indices == [0, 1, 2, 3, 5, 6, 7, 8, 9]
+    assert len(result.updates) == 9
+
+
 def test_server_archive_skips_resume_overlap(tmp_path, template_and_samples):
     """Replaying an already-archived prefix (client retry after restart)
     must not duplicate intervals: the monotone index check makes the

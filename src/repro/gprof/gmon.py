@@ -12,12 +12,14 @@ files raise :class:`~repro.util.errors.FormatError`.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Dict, List, NamedTuple, Tuple, Union
+from typing import (Any, BinaryIO, Callable, Dict, List, NamedTuple, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -34,6 +36,9 @@ _HEADER = struct.Struct("<5sHddi")  # magic, version, sample_period, timestamp, 
 _U32 = struct.Struct("<I")
 _HIST_REC = struct.Struct("<IQ")  # name index, tick count
 _ARC_REC = struct.Struct("<IIQ")  # caller index, callee index, count
+
+#: Byte offset of the string table: right after the header.
+_TABLE_OFFSET = _HEADER.size
 
 # Packed-record views of the fixed-size sections ("<" structs carry no
 # padding, so explicit offsets reproduce the wire layout exactly).
@@ -157,43 +162,9 @@ class GmonData:
 def write_gmon(data: GmonData, target: Union[str, Path, BinaryIO]) -> None:
     """Serialize ``data`` to a path or binary stream."""
     if isinstance(target, (str, Path)):
-        with open(target, "wb") as fh:
-            write_gmon(data, fh)
-        return
-    stream = target
-    parts: List[bytes] = [
-        _HEADER.pack(MAGIC, VERSION, data.sample_period, data.timestamp, data.rank)
-    ]
-
-    names = sorted(set(data.hist) | {n for arc in data.arcs for n in arc})
-    index = {name: i for i, name in enumerate(names)}
-    parts.append(_U32.pack(len(names)))
-    for name in names:
-        encoded = name.encode("utf-8")
-        parts.append(_U32.pack(len(encoded)))
-        parts.append(encoded)
-
-    # Fixed-size sections are packed in one struct call each; with "<"
-    # there is no alignment padding, so the bytes are identical to a
-    # record-at-a-time stream (the IGMON format is unchanged).
-    hist = data.hist
-    flat_hist: List[int] = []
-    for name in sorted(hist):
-        flat_hist.append(index[name])
-        flat_hist.append(hist[name])
-    parts.append(_U32.pack(len(hist)))
-    parts.append(struct.pack("<" + "IQ" * len(hist), *flat_hist))
-
-    arcs = data.arcs
-    flat_arcs: List[int] = []
-    for caller, callee in sorted(arcs):
-        flat_arcs.append(index[caller])
-        flat_arcs.append(index[callee])
-        flat_arcs.append(arcs[(caller, callee)])
-    parts.append(_U32.pack(len(arcs)))
-    parts.append(struct.pack("<" + "IIQ" * len(arcs), *flat_arcs))
-
-    stream.write(b"".join(parts))
+        Path(target).write_bytes(dumps_gmon(data))
+    else:
+        target.write(dumps_gmon(data))
 
 
 def read_gmon(source: Union[str, Path, BinaryIO]) -> GmonData:
@@ -203,19 +174,106 @@ def read_gmon(source: Union[str, Path, BinaryIO]) -> GmonData:
     return loads_gmon(source.read())
 
 
+class _EncodePlan(NamedTuple):
+    """Everything :func:`dumps_gmon` derives from a snapshot's keys.
+
+    Each section packs in one ``struct.pack`` of its format: the record
+    count, then the records, whose name indices already sit in
+    ``*_flat`` in record (sorted-key) order, with a slot after them for
+    each count.  ``*_order`` permutes counts from the dict's order into
+    record order.
+    """
+
+    table: bytes
+    hist_format: str
+    hist_flat: List[Any]
+    hist_order: Callable[[List[Any]], Sequence[Any]]
+    arc_format: str
+    arc_flat: List[Any]
+    arc_order: Callable[[List[Any]], Sequence[Any]]
+
+
+def _sorter(keys: List[Any]) -> Callable[[List[Any]], Sequence[Any]]:
+    """A C-level callable that lists its argument in ``keys``' sorted
+    order (``keys`` are distinct, so the order is unique).  Keys that
+    arrive sorted, as a dump in name order does, need no permutation."""
+    if keys == sorted(keys):
+        return tuple
+    return itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
+
+
+def _encode_plan(hist_keys: Tuple[str, ...],
+                 arc_keys: Tuple[Tuple[str, str], ...]) -> _EncodePlan:
+    callers, callees = zip(*arc_keys) if arc_keys else ((), ())
+    names = sorted(dict.fromkeys(chain(hist_keys, callers, callees)))
+    n = len(names)
+    encoded = list(map(str.encode, names))
+    table = [None] * (2 * n)
+    table[0::2] = map(_U32.pack, map(len, encoded))
+    table[1::2] = encoded
+
+    # Name indices follow name order, so records sorted by key are
+    # records sorted by index, and arcs by ``caller * n + callee``.
+    index = dict(zip(names, range(n))).__getitem__
+    hist = list(map(index, hist_keys))
+    hist_order = _sorter(hist)
+    hist_flat: List[Any] = [len(hist)] + [None] * (2 * len(hist))
+    hist_flat[1::2] = hist_order(hist)
+
+    caller = list(map(index, callers))
+    callee = list(map(index, callees))
+    arc_order = _sorter([c * n + d for c, d in zip(caller, callee)])
+    arc_flat: List[Any] = [len(caller)] + [None] * (3 * len(caller))
+    arc_flat[1::3] = arc_order(caller)
+    arc_flat[2::3] = arc_order(callee)
+    return _EncodePlan(_U32.pack(n) + b"".join(table),
+                       "<I" + "IQ" * len(hist), hist_flat, hist_order,
+                       "<I" + "IIQ" * len(caller), arc_flat, arc_order)
+
+
+#: Encode plans keyed by a snapshot's key order, ``(tuple(hist),
+#: tuple(arcs))``: IncProf dumps a process's whole cumulative state every
+#: interval, so its keys repeat and only the counts change.  Cleared
+#: wholesale at the cap, like the decoder's table cache.
+_PLANS: Dict[Tuple[tuple, tuple], _EncodePlan] = {}
+_PLANS_MAX = 256
+
+
 def dumps_gmon(data: GmonData) -> bytes:
-    """Serialize to bytes."""
-    buf = io.BytesIO()
-    write_gmon(data, buf)
-    return buf.getvalue()
+    """Serialize to bytes.
+
+    Sorting the names, encoding the string table and ordering the
+    records depend on the snapshot's keys alone, so they are paid once
+    per key order (:class:`_EncodePlan`); a call reads each dict's counts
+    once and packs them.  The ``struct`` codes are the format's own, so
+    a count that is not an integer in ``[0, 2**64)`` raises
+    ``struct.error`` exactly as a record-at-a-time packer would.
+    """
+    hist, arcs = data.hist, data.arcs
+    key = (tuple(hist), tuple(arcs))
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _encode_plan(*key)
+        if len(_PLANS) >= _PLANS_MAX:
+            _PLANS.clear()
+        _PLANS[key] = plan
+    hist_flat = plan.hist_flat.copy()
+    hist_flat[2::2] = plan.hist_order(list(hist.values()))
+    arc_flat = plan.arc_flat.copy()
+    arc_flat[3::3] = plan.arc_order(list(arcs.values()))
+    return b"".join((
+        _HEADER.pack(MAGIC, VERSION, data.sample_period, data.timestamp, data.rank),
+        plan.table, struct.pack(plan.hist_format, *hist_flat),
+        struct.pack(plan.arc_format, *arc_flat)))
 
 
 class GmonColumns(NamedTuple):
     """One decoded gmon snapshot, still in columns.
 
-    ``table`` is the raw string-table section (its name count included):
-    a stream repeats it verbatim interval after interval, so consumers
-    key per-table work by it.  The ``hist_*`` and ``arc_*`` columns are
+    ``table`` is the raw string-table section (its name count included),
+    as the decoder's cached object: a stream repeats it verbatim interval
+    after interval, so consumers key per-table work by it, and Python
+    hashes it once.  The ``hist_*`` and ``arc_*`` columns are
     NumPy views of the record fields in the decoded buffer; every name
     index in them is already checked against ``names``.
     """
@@ -249,7 +307,8 @@ class GmonBlob:
     The service wire path admits binary snapshots without paying the
     decode on the connection's reader thread.  The classify thread
     differences the bytes straight from :meth:`columns` (decoded once,
-    cached) and the archive keeps them as they are, so neither builds a
+    cached) and the archive keeps them as they are (buffered around the
+    shared string table, :meth:`split`), so neither builds a
     :class:`GmonData`; :meth:`load` builds one for callers that want
     dicts.  A blob also rides *encoding* untouched — both codecs emit
     its bytes directly, so a publisher holding pre-serialized gmon
@@ -275,12 +334,64 @@ class GmonBlob:
     def load(self) -> GmonData:
         return self.columns().to_gmon()
 
+    def split(self) -> Tuple[bytes, bytes, bytes]:
+        """The bytes as ``(header, table, rest)``, which join back into
+        them: ``table`` is the decoder's string-table object, shared with
+        every snapshot that repeats the table, and the other two are
+        copies.  A corrupt blob raises :class:`FormatError`."""
+        table = self.columns().table
+        view = memoryview(self.raw)
+        return (bytes(view[:_TABLE_OFFSET]), table,
+                bytes(view[_TABLE_OFFSET + len(table):]))
 
-#: Decoded string tables keyed by their raw section bytes; cleared
-#: wholesale at the cap (tables are small and the set of distinct
-#: function universes a process sees is, too).
-_NAMES_CACHE: Dict[bytes, List[str]] = {}
-_NAMES_CACHE_MAX = 256
+
+#: Decoded string tables as ``(table, names)``, each under two keys: its
+#: bytes and their first ``_TABLE_KEY_BYTES`` (the same key for a
+#: shorter table).  Cleared wholesale at the cap (up to 256 tables: the
+#: distinct function universes a process sees are few).
+_TABLES: Dict[bytes, Tuple[bytes, List[str]]] = {}
+_TABLES_MAX = 512
+_TABLE_KEY_BYTES = 64
+
+
+def _need(total: int, offset: int, n: int) -> None:
+    if offset + n > total:
+        raise FormatError(f"truncated gmon data: wanted {n} bytes, "
+                          f"got {max(0, total - offset)}")
+
+
+def _read_table(buf: memoryview, total: int) -> Tuple[bytes, List[str]]:
+    """Walk the string table's length prefixes, then decode its names
+    unless the cache holds the table by its bytes: then the cached
+    object comes back, and its prefix key points at it again (tables
+    sharing their first ``_TABLE_KEY_BYTES`` take turns there)."""
+    _need(total, _TABLE_OFFSET, 4)
+    (n_names,) = _U32.unpack_from(buf, _TABLE_OFFSET)
+    off = _TABLE_OFFSET + 4
+    for _ in range(n_names):
+        _need(total, off, 4)
+        (length,) = _U32.unpack_from(buf, off)
+        off += 4
+        _need(total, off, length)
+        off += length
+    table = bytes(buf[_TABLE_OFFSET:off])
+    entry = _TABLES.get(table)
+    if entry is None:
+        names = []
+        pos = 4
+        for _ in range(n_names):
+            (length,) = _U32.unpack_from(table, pos)
+            pos += 4
+            try:
+                names.append(table[pos:pos + length].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"gmon function name is not UTF-8: {exc}") from exc
+            pos += length
+        entry = (table, names)
+    if len(_TABLES) >= _TABLES_MAX:
+        _TABLES.clear()
+    _TABLES[table] = _TABLES[table[:_TABLE_KEY_BYTES]] = entry
+    return entry
 
 
 def decode_gmon(blob) -> GmonColumns:
@@ -296,13 +407,7 @@ def decode_gmon(blob) -> GmonColumns:
     """
     buf = memoryview(blob)
     total = buf.nbytes
-
-    def need(offset: int, n: int) -> None:
-        if offset + n > total:
-            raise FormatError(f"truncated gmon data: wanted {n} bytes, "
-                              f"got {max(0, total - offset)}")
-
-    need(0, _HEADER.size)
+    _need(total, 0, _HEADER.size)
     magic, version, period, timestamp, rank = _HEADER.unpack_from(buf, 0)
     if magic != MAGIC:
         raise FormatError(f"bad gmon magic {bytes(magic)!r}")
@@ -311,40 +416,23 @@ def decode_gmon(blob) -> GmonColumns:
     check_sample_period(period, FormatError)
 
     # A stream's snapshots carry the same function set interval after
-    # interval, so the string table's raw bytes repeat verbatim; cache
-    # the decoded table keyed by those bytes and the per-interval decode
-    # skips every UTF-8 decode.  First pass walks lengths only.
-    off = _HEADER.size
-    need(off, 4)
-    (n_names,) = _U32.unpack_from(buf, off)
-    off += 4
-    for _ in range(n_names):
-        need(off, 4)
-        (length,) = _U32.unpack_from(buf, off)
-        off += 4
-        need(off, length)
-        off += length
-    table = bytes(buf[_HEADER.size:off])
-    names = _NAMES_CACHE.get(table)
-    if names is None:
-        names = []
-        pos = 4
-        for _ in range(n_names):
-            (length,) = _U32.unpack_from(table, pos)
-            pos += 4
-            try:
-                names.append(table[pos:pos + length].decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"gmon function name is not UTF-8: {exc}") from exc
-            pos += length
-        if len(_NAMES_CACHE) >= _NAMES_CACHE_MAX:
-            _NAMES_CACHE.clear()
-        _NAMES_CACHE[table] = names
+    # interval, so the string table's bytes repeat verbatim.  A table
+    # delimits itself: where the buffer holds a cached table's bytes at
+    # the table offset, its table is that one, ends where that one ends
+    # and names what it names — so a hit skips the length walk and every
+    # UTF-8 decode, and hands back the cached object, whose hash Python
+    # keeps for every later lookup keyed by it.
+    off = _TABLE_OFFSET
+    entry = _TABLES.get(bytes(buf[off:off + _TABLE_KEY_BYTES]))
+    if entry is None or bytes(buf[off:off + len(entry[0])]) != entry[0]:
+        entry = _read_table(buf, total)
+    table, names = entry
+    off += len(table)
 
-    need(off, 4)
+    _need(total, off, 4)
     (n_hist,) = _U32.unpack_from(buf, off)
     off += 4
-    need(off, n_hist * _HIST_REC.size)
+    _need(total, off, n_hist * _HIST_REC.size)
     hist = np.frombuffer(buf, dtype=_HIST_DTYPE, count=n_hist, offset=off)
     hist_name = hist["i"]
     if n_hist and int(hist_name.max()) >= len(names):
@@ -352,10 +440,10 @@ def decode_gmon(blob) -> GmonColumns:
         raise FormatError(f"histogram name index {bad} out of range")
     off += n_hist * _HIST_REC.size
 
-    need(off, 4)
+    _need(total, off, 4)
     (n_arcs,) = _U32.unpack_from(buf, off)
     off += 4
-    need(off, n_arcs * _ARC_REC.size)
+    _need(total, off, n_arcs * _ARC_REC.size)
     arcs = np.frombuffer(buf, dtype=_ARC_DTYPE, count=n_arcs, offset=off)
     caller, callee = arcs["s"], arcs["d"]
     if n_arcs and max(int(caller.max()), int(callee.max())) >= len(names):

@@ -130,11 +130,20 @@ class CompactionPolicy:
 
 @dataclass
 class _Pending:
-    """One stream's buffered (not yet segment-written) appends."""
+    """One stream's buffered (not yet segment-written) appends.
+
+    ``parts`` holds three byte strings per interval that join into its
+    gmon bytes: for a :class:`GmonBlob`, its :meth:`~GmonBlob.split`
+    (whose string table is one object, shared by every interval that
+    repeats the table), else the whole bytes and two empty strings.
+    """
 
     indices: List[int] = field(default_factory=list)
     timestamps: List[float] = field(default_factory=list)
-    blobs: List[bytes] = field(default_factory=list)
+    parts: List[bytes] = field(default_factory=list)
+
+    def blob(self, i: int) -> bytes:
+        return b"".join(self.parts[3 * i:3 * i + 3])
 
 
 class SegmentStore(IntervalStore):
@@ -312,15 +321,14 @@ class SegmentStore(IntervalStore):
     # ------------------------------------------------------------------
     @staticmethod
     def _raw_arrays(pending: _Pending) -> Dict[str, np.ndarray]:
-        sizes = [len(b) for b in pending.blobs]
-        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
+        offsets = np.zeros(len(pending.indices) + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum(list(map(len, pending.parts)))[2::3]
         return {
             "kind": np.array("raw"),
             "indices": np.asarray(pending.indices, dtype=np.int64),
             "timestamps": np.asarray(pending.timestamps, dtype=np.float64),
             "offsets": offsets,
-            "blob": np.frombuffer(b"".join(pending.blobs), dtype=np.uint8),
+            "blob": np.frombuffer(b"".join(pending.parts), dtype=np.uint8),
         }
 
     @staticmethod
@@ -428,12 +436,14 @@ class SegmentStore(IntervalStore):
         archived as its bytes, under the timestamp in their header; its
         cached decode validates them, so a corrupt blob raises
         :class:`~repro.util.errors.FormatError` and is not archived.
+        Until the flush it is buffered around its decoded string table
+        (:class:`_Pending`), not as a copy of all of its bytes.
         """
         if isinstance(snapshot, GmonBlob):
-            raw, timestamp = snapshot.raw, snapshot.columns().timestamp
+            parts, timestamp = snapshot.split(), snapshot.columns().timestamp
         else:
-            timestamp = snapshot.timestamp
-        blob = bytes(raw) if raw is not None else dumps_gmon(snapshot)
+            blob = bytes(raw) if raw is not None else dumps_gmon(snapshot)
+            parts, timestamp = (blob, b"", b""), snapshot.timestamp
         with self._lock:
             pending = self._pending.setdefault(stream_id, _Pending())
             last = (pending.indices[-1] if pending.indices
@@ -444,7 +454,7 @@ class SegmentStore(IntervalStore):
                     f"stream {stream_id!r} got index {index} after {last}")
             pending.indices.append(index)
             pending.timestamps.append(timestamp)
-            pending.blobs.append(blob)
+            pending.parts += parts
             self.appends += 1
             if len(pending.indices) >= self.segment_intervals:
                 self._flush_locked([stream_id])
@@ -502,7 +512,7 @@ class SegmentStore(IntervalStore):
             pending = self._pending.get(stream_id, _Pending())
             snapshot = _Pending(list(pending.indices),
                                 list(pending.timestamps),
-                                list(pending.blobs))
+                                list(pending.parts))
         return segs, snapshot
 
     def _iter_segment(self, seg: SegmentMeta) -> Iterator[Tuple[int, GmonData]]:
@@ -527,7 +537,7 @@ class SegmentStore(IntervalStore):
                     yield index, snapshot
         for i, index in enumerate(pending.indices):
             if index > since:
-                yield index, loads_gmon(pending.blobs[i])
+                yield index, loads_gmon(pending.blob(i))
 
     def window(self, stream_id: str, t0: Optional[float] = None,
                t1: Optional[float] = None) -> Iterator[Tuple[int, GmonData]]:
@@ -555,7 +565,7 @@ class SegmentStore(IntervalStore):
                 continue
             if t1 is not None and ts >= t1:
                 return
-            yield index, loads_gmon(pending.blobs[i])
+            yield index, loads_gmon(pending.blob(i))
 
     def replayable_after(self, stream_id: str) -> Optional[float]:
         """Earliest timestamp still held at a replayable tier."""

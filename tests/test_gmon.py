@@ -1,12 +1,16 @@
 """GmonData accounting, subtraction, and binary round-trip."""
 
-import io
 import struct
+import sys
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.gprof.gmon import GmonData, dumps_gmon, loads_gmon, read_gmon, write_gmon
+from repro.gprof import gmon
+from repro.gprof.gmon import (GmonData, decode_gmon, dumps_gmon, loads_gmon,
+                              read_gmon, write_gmon)
 from repro.util.errors import FormatError, ValidationError
 
 
@@ -230,40 +234,239 @@ def _reference_loads(blob):
     return data
 
 
-@settings(max_examples=60, deadline=None)
+def _reference_dumps(data):
+    """Record-at-a-time IGMON writer: the reference ``dumps_gmon``'s
+    cached encode plans must reproduce, byte for byte and error for
+    error (the same ``struct`` codes, one record per call)."""
+    names = sorted(set(data.hist) | {n for arc in data.arcs for n in arc})
+    index = {name: i for i, name in enumerate(names)}
+    parts = [struct.pack("<5sHddi", b"IGMON", 1, data.sample_period,
+                         data.timestamp, data.rank),
+             struct.pack("<I", len(names))]
+    for name in names:
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<I", len(encoded)), encoded]
+    parts.append(struct.pack("<I", len(data.hist)))
+    for name in sorted(data.hist):
+        parts.append(struct.pack("<IQ", index[name], data.hist[name]))
+    parts.append(struct.pack("<I", len(data.arcs)))
+    for caller, callee in sorted(data.arcs):
+        parts.append(struct.pack("<IIQ", index[caller], index[callee],
+                                 data.arcs[(caller, callee)]))
+    return b"".join(parts)
+
+
+def _set_plan_cache(state, data):
+    """Put the encoder's plan cache in ``state`` for ``data``'s keys."""
+    gmon._PLANS.clear()
+    if state == "warm":
+        dumps_gmon(data)
+    elif state == "at-cap":  # the next new key set clears it first
+        gmon._PLANS.update({("filler", i): None for i in range(gmon._PLANS_MAX)})
+
+
+PLAN_STATES = ("cold", "warm", "at-cap")
+#: Names that sort around each other, non-ASCII included.
+any_names = st.text(alphabet="abAB_é中\U0001F600", min_size=0, max_size=6)
+counts = st.one_of(st.integers(0, 3), st.integers(2**63, 2**64 - 1),
+                   st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hist=st.dictionaries(any_names, counts, max_size=8),
+       arcs=st.dictionaries(st.tuples(any_names, any_names), counts, max_size=8),
+       timestamp=st.floats(allow_nan=False),
+       rank=st.integers(-2**31, 2**31 - 1))
+def test_encoder_matches_reference_writer(hist, arcs, timestamp, rank):
+    """``dumps_gmon`` writes what a record-at-a-time writer writes: for
+    the key set in two insertion orders, arcs naming functions the
+    histogram lacks, non-ASCII names, empty sections and counts at 0
+    and past 2**63, from a cold, a warm and a just-cleared plan cache."""
+    forward = GmonData(hist=hist, arcs=arcs, timestamp=timestamp, rank=rank)
+    backward = GmonData(hist=dict(reversed(hist.items())),
+                        arcs=dict(reversed(arcs.items())),
+                        timestamp=timestamp, rank=rank)
+    want = _reference_dumps(forward)
+    assert _reference_dumps(backward) == want
+    try:
+        for state in PLAN_STATES:
+            for data in (forward, backward):
+                _set_plan_cache(state, data)
+                assert dumps_gmon(data) == want
+                assert dumps_gmon(data) == want  # and from its own plan
+                if state == "at-cap":
+                    assert len(gmon._PLANS) == 1
+    finally:
+        gmon._PLANS.clear()
+
+
+@pytest.mark.parametrize("state", PLAN_STATES)
+@pytest.mark.parametrize("section", ["hist", "arcs"])
+@pytest.mark.parametrize("bad", [-1, np.int64(-1), 2**64, 3.0, 3.7,
+                                 np.float64(2.0), "3", None])
+def test_encoder_rejects_what_the_reference_rejects(state, section, bad):
+    """A count ``struct`` cannot pack as ``Q`` raises ``struct.error``,
+    as the reference writer does — never truncated to 3 or wrapped to
+    2**64 - 1 as a NumPy cast would."""
+    data = GmonData(hist={"a": 1, "b": 2}, arcs={("a", "b"): 3, ("b", "a"): 4})
+    try:
+        _set_plan_cache(state, data)
+        if section == "hist":
+            data.hist["b"] = bad
+        else:
+            data.arcs[("b", "a")] = bad
+        with pytest.raises(struct.error) as want:
+            _reference_dumps(data)
+        with pytest.raises(struct.error) as got:
+            dumps_gmon(data)
+        assert str(got.value) == str(want.value)
+    finally:
+        gmon._PLANS.clear()
+
+
+@pytest.mark.parametrize("count", [np.uint64(2**64 - 1), np.int64(5), True])
+def test_encoder_packs_integer_like_counts_as_the_reference(count):
+    data = GmonData(hist={"a": count}, arcs={("a", "a"): count})
+    assert dumps_gmon(data) == _reference_dumps(data)
+
+
+def _check_decode(blob):
+    """``loads_gmon`` agrees with the reference parser, errors included."""
+    try:
+        want = _reference_loads(blob)
+    except FormatError:
+        with pytest.raises(FormatError):
+            loads_gmon(blob)
+        return
+    got = loads_gmon(blob)
+    assert (got.hist, got.arcs, got.rank) == (want.hist, want.arcs, want.rank)
+    assert got.timestamp == want.timestamp or (got.timestamp != got.timestamp
+                                               and want.timestamp != want.timestamp)
+    assert got.sample_period == want.sample_period
+
+
+#: Name lists whose string tables are shorter than the decoder's lookup
+#: key, far longer, or share their leading bytes with another table.
+LONG = "kernel_0123456789_" * 3
+table_names = st.one_of(
+    st.lists(names, min_size=1, max_size=5, unique=True),
+    st.lists(st.sampled_from([LONG + c for c in "abcdefgh"]), min_size=1,
+             max_size=8, unique=True),
+    st.just([LONG + "a", LONG + "b"]), st.just([LONG + "a", LONG + "c"]))
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    tables=st.lists(st.lists(names, min_size=1, max_size=5, unique=True),
-                    min_size=1, max_size=3),
+    tables=st.lists(table_names, min_size=1, max_size=3),
     picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2**64 - 1),
-                             st.integers(-1, 200), st.integers(0, 255)),
+                             st.integers(-1, 400), st.integers(0, 255)),
                    min_size=1, max_size=12),
 )
 def test_decoder_matches_reference_parser(tables, picks):
     """A stream of snapshots that repeat, switch and corrupt their string
     tables decodes as the record-at-a-time reference does, and fails
-    exactly where it fails — the cache of decoded tables included."""
+    exactly where it fails: each blob from a cold table cache, then from
+    a warm one — tables shorter and longer than the lookup key, tables
+    sharing their leading bytes, blobs cut inside a cached table and
+    record indices out of range after a table hit included."""
     for table_no, count, cut, flip in picks:
         funcs = tables[table_no % len(tables)]
         snap = GmonData(hist={f: count for f in funcs},
                         arcs={(funcs[0], funcs[-1]): count})
-        blob = bytearray(dumps_gmon(snap))
+        good = dumps_gmon(snap)
+        blob = bytearray(good)
         if cut >= 0:  # corrupt one byte, or cut the blob short
             if cut % 2:
                 blob = blob[:cut % len(blob)]
             else:
                 blob[cut % len(blob)] ^= flip
-        blob = bytes(blob)
+        gmon._TABLES.clear()
+        _check_decode(bytes(blob))
+        decode_gmon(good)
+        _check_decode(bytes(blob))
+        _check_decode(bytes(blob))
+
+
+def test_decoder_returns_the_cached_table_object():
+    """A repeated table, the 4-name golden one included, decodes to the
+    cached table and names objects: per-table consumers (the
+    differencer's column maps) then hash the bytes once."""
+    for funcs in (["alpha", "beta", "main", "müller"],
+                  [f"kernel_{j:03d}_step" for j in range(40)]):
+        snaps = [GmonData(hist={f: i + 1 for f in funcs}) for i in range(3)]
+        first, *rest = [decode_gmon(memoryview(dumps_gmon(s))) for s in snaps]
+        for cols in rest:
+            assert cols.table is first.table
+            assert cols.names is first.names
+    assert decode_gmon(GOLDEN_BLOB).table is decode_gmon(bytearray(GOLDEN_BLOB)).table
+
+
+def test_decoder_hit_skips_the_length_walk(monkeypatch):
+    """A cached table at least as long as the lookup key is found from
+    the bytes at the table offset alone; only a shorter table (at most
+    15 names) walks its length prefixes before its cache hit."""
+    funcs = [f"kernel_{j:03d}_step" for j in range(40)]
+    first = decode_gmon(dumps_gmon(GmonData(hist={f: 1 for f in funcs})))
+    assert len(first.table) > gmon._TABLE_KEY_BYTES
+
+    def walk(*args):
+        raise AssertionError("walked the string table")
+
+    monkeypatch.setattr(gmon, "_read_table", walk)
+    again = decode_gmon(dumps_gmon(GmonData(hist={f: 2 for f in funcs})))
+    assert again.table is first.table and again.hist_ticks.tolist() == [2] * 40
+
+
+def test_decoder_checks_record_indices_after_a_table_hit():
+    blob = bytearray(GOLDEN_BLOB)
+    decode_gmon(GOLDEN_BLOB)  # the table is cached
+    hist_at = gmon._TABLE_OFFSET + len(decode_gmon(GOLDEN_BLOB).table) + 4
+    blob[hist_at:hist_at + 4] = struct.pack("<I", 4)  # 4 names: 0..3
+    with pytest.raises(FormatError, match="histogram name index 4"):
+        decode_gmon(bytes(blob))
+
+
+def test_codec_caches_under_concurrent_use(monkeypatch):
+    """Threads that encode and decode snapshots of several function
+    universes while tiny caps clear both caches over and over read
+    exactly what the reference codecs give: a race may cost a miss,
+    never a wrong plan or table."""
+    monkeypatch.setattr(gmon, "_PLANS_MAX", 2)
+    monkeypatch.setattr(gmon, "_TABLES_MAX", 3)
+    universes = [[f"{LONG}{j}" for j in range(k, k + 6)] for k in range(5)]
+    universes += [["a", "b"], ["a", "c"]]
+    errors = []
+
+    def work(seed):
+        # Each thread's counts differ from every other's, so a plan or
+        # table shared by mistake shows in the bytes.
+        snaps = [GmonData(hist={f: 1000 * seed + 7 * k + j
+                                for j, f in enumerate(funcs)},
+                          arcs={(funcs[0], f): seed + k for f in funcs})
+                 for k, funcs in enumerate(universes)]
+        want = [_reference_dumps(snap) for snap in snaps]
         try:
-            want = _reference_loads(blob)
-        except FormatError:
-            with pytest.raises(FormatError):
-                loads_gmon(blob)
-            continue
-        got = loads_gmon(blob)
-        assert (got.hist, got.arcs, got.rank) == (want.hist, want.arcs, want.rank)
-        assert got.timestamp == want.timestamp or (got.timestamp != got.timestamp
-                                                   and want.timestamp != want.timestamp)
-        assert got.sample_period == want.sample_period
+            for i in range(300):
+                k = (seed * 7 + i) % len(snaps)
+                blob = dumps_gmon(snaps[k])
+                assert blob == want[k]
+                got = loads_gmon(memoryview(blob))
+                assert (got.hist, got.arcs) == (snaps[k].hist, snaps[k].arcs)
+        except AssertionError as exc:  # reported by the main thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 # ----------------------------------------------------------------------

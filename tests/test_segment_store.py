@@ -7,11 +7,13 @@ import struct
 import threading
 import time
 import tracemalloc
+import types
+import zipfile
 
 import numpy as np
 import pytest
 
-from repro.gprof.gmon import GmonData, dumps_gmon, loads_gmon
+from repro.gprof.gmon import GmonBlob, GmonData, dumps_gmon, loads_gmon
 from repro.incprof.storage import SampleStore
 from repro.store import layout
 from repro.store.loose import LooseStore
@@ -122,6 +124,45 @@ def test_window_selects_by_timestamp(tmp_path):
 # ----------------------------------------------------------------------
 # tiers + compaction
 # ----------------------------------------------------------------------
+def test_blob_appends_buffer_around_one_shared_table(tmp_path, monkeypatch):
+    """Binary-protocol appends buffer a snapshot's header and records
+    around the decoder's shared string table, not a copy of all of its
+    bytes: a stream's pending intervals hold its table once, scan and
+    window read them back unchanged, and the segments a flush writes are
+    those of a store that buffers full copies, checksum for checksum."""
+    # A zip entry carries the clock's time: pin the clock zipfile reads
+    # so two stores' segments can compare byte for byte.
+    monkeypatch.setattr(zipfile, "time", types.SimpleNamespace(
+        time=lambda: 1.7e9, localtime=time.localtime))
+    blobs = [dumps_gmon(s) for s in make_series(70, with_arcs=True)]
+    shared = SegmentStore(tmp_path / "shared", segment_intervals=32)
+    copies = SegmentStore(tmp_path / "copies", segment_intervals=32)
+    for i, raw in enumerate(blobs):
+        for sid in ("a", "b"):
+            blob = GmonBlob(memoryview(bytearray(raw)))  # as a frame's view
+            shared.append(sid, i, blob)
+            copies.append(sid, i, blob.load(), raw=bytes(blob.raw))
+
+    pending = [t for sid in ("a", "b") for t in shared._pending[sid].parts[1::3]]
+    assert len(pending) == 12 and all(t is pending[0] for t in pending)
+    for sid in ("a", "b"):  # both reads end in the 6 pending intervals
+        for read, indices in ((lambda st: st.scan(sid, since=20), range(21, 70)),
+                              (lambda st: st.window(sid, 30.0, 69.0), range(29, 68))):
+            got = [(i, s.hist, s.arcs, s.timestamp) for i, s in read(shared)]
+            assert [i for i, *_ in got] == list(indices)
+            assert got == [(i, s.hist, s.arcs, s.timestamp)
+                           for i, s in read(copies)]
+
+    shared.close()
+    copies.close()
+    for sid in ("a", "b"):
+        segs = [(m.name, m.count, m.sha256) for m in
+                SegmentStore(tmp_path / "shared")._streams[sid]]
+        assert segs == [(m.name, m.count, m.sha256) for m in
+                        SegmentStore(tmp_path / "copies")._streams[sid]]
+        assert [count for _, count, _ in segs] == [32, 32, 6]
+
+
 def test_vector_tier_preserves_classification_fields(tmp_path):
     series = make_series(64)
     store = SegmentStore(tmp_path, segment_intervals=16)

@@ -40,7 +40,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.intervals import Differencer, assemble_interval_data, clamped_diff
-from repro.core.kmeans import KMeansResult, kmeans
+from repro.core.kmeans import KMeansResult, kmeans_sweep
 from repro.core.kselect import (
     DEFAULT_KMAX,
     _silhouette_means,
@@ -293,7 +293,8 @@ def bounded_resweep(
 
     The full k = 1..kmax sweep is a discovery tool; once a model exists,
     drift rarely changes the phase count by more than one, so the
-    bounded sweep keeps refits O(3 fits) instead of O(kmax fits).
+    bounded sweep keeps refits O(3 fits) instead of O(kmax fits), fitted
+    together in one :func:`~repro.core.kmeans.kmeans_sweep` call.
     Candidates are scored by mean silhouette (the criterion that needs
     no reference curve); if every multi-cluster candidate scores <= 0
     the data is one blob and k = 1 wins when it is a candidate.
@@ -304,8 +305,8 @@ def bounded_resweep(
     if not candidates:
         candidates = [min(max(1, current_k), n)]
     seeds = spawn_seedseqs(seed, max(candidates))
-    fits = {k: kmeans(features, k, seed=seeds[k - 1], n_init=n_init)
-            for k in candidates}
+    fits = kmeans_sweep(features, {k: seeds[k - 1] for k in candidates},
+                        n_init=n_init)
     scorable = [k for k in candidates if 2 <= k <= n - 1]
     if not scorable:
         return fits[candidates[0]]

@@ -5,11 +5,14 @@ method, with *silhouette* evaluated as an alternative (both implemented
 here; the ablation bench compares them).  Eight was enough because no
 studied application showed more than five phases.
 
-Each k of the sweep is fit under its own child seed spawned from one
-``numpy.random.SeedSequence``, so the per-k results are independent of
-sweep order and of how the sweep is scheduled — fitting k = 1..kmax
-serially, fitting each k in its own process (``workers``), or fitting a
-single k in isolation all produce bit-identical clusterings.
+:func:`wcss_curve` fits the whole sweep with one
+:func:`~repro.core.kmeans.kmeans_sweep` call: every restart of every k
+shares one seeding pass and one Lloyd loop.  Each k is fit under its own
+child seed spawned from one ``numpy.random.SeedSequence``, and no fit's
+bits depend on what is fitted beside it, so the per-k results do not
+depend on how the sweep is scheduled — the serial sweep, a sweep to a
+smaller kmax, a process pool fitting one k per task (``workers``) and a
+single k fitted alone all produce bit-identical clusterings.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.kmeans import KMeansResult, Seed, kmeans
+from repro.core.kmeans import KMeansResult, Seed, kmeans, kmeans_sweep
 from repro.util.errors import ClusteringError, ValidationError
 
 DEFAULT_KMAX = 8
@@ -86,7 +89,8 @@ def wcss_curve(
 ) -> Dict[int, KMeansResult]:
     """Fit k-means for k = 1..min(kmax, n_points).
 
-    Every k gets its own independent child seed (see
+    The serial sweep is one :func:`~repro.core.kmeans.kmeans_sweep`
+    call.  Every k gets its own independent child seed (see
     :func:`spawn_seedseqs`), so ``workers > 1`` — a process pool with
     one task per k — returns bit-identical results to the serial sweep.
 
@@ -107,7 +111,7 @@ def wcss_curve(
             futures = [pool.submit(_fit_one_k, points, k, seeds[k - 1], n_init)
                        for k in ks]
             return dict(f.result() for f in futures)
-    return dict(_fit_one_k(points, k, seeds[k - 1], n_init) for k in ks)
+    return kmeans_sweep(points, {k: seeds[k - 1] for k in ks}, n_init=n_init)
 
 
 def elbow_k(results: Dict[int, KMeansResult]) -> int:

@@ -38,8 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.cohorts import CohortMatcher, signature_distance
-from repro.core.kmeans import KMeansResult, kmeans
-from repro.core.kselect import silhouette_k, spawn_seedseqs
+from repro.core.kselect import silhouette_k, wcss_curve
 from repro.core.online import NOVEL, OnlinePhaseTracker
 from repro.store import layout
 from repro.store.interface import IntervalStore, ReplayResult
@@ -320,20 +319,18 @@ def cluster_signatures(
 ) -> Tuple[List[int], np.ndarray]:
     """Cluster streams by signature; ``(cohort id per stream, centroids)``.
 
-    k is chosen by silhouette over a 1..min(kmax, n) sweep of the
-    existing k-means kernel (one stream can't split, ties fall to the
-    fewer-cohort side).  With a ``matcher``, cluster indices are mapped
-    to stable cohort ids; without one, ids are the cluster indices of
-    this run.
+    k is chosen by silhouette over the 1..min(kmax, n) sweep of
+    :func:`~repro.core.kselect.wcss_curve` (one stream can't split, ties
+    fall to the fewer-cohort side).  With a ``matcher``, cluster indices
+    are mapped to stable cohort ids; without one, ids are the cluster
+    indices of this run.
     """
     if not signatures:
         return [], np.empty((0, SIG_DIM))
     points = np.stack([s.vector() for s in signatures])
     n = points.shape[0]
     kmax = max(1, min(kmax, n))
-    results: Dict[int, KMeansResult] = {}
-    for k, seedseq in zip(range(1, kmax + 1), spawn_seedseqs(seed, kmax)):
-        results[k] = kmeans(points, k, seed=seedseq, n_init=4)
+    results = wcss_curve(points, kmax=kmax, seed=seed, n_init=4)
     chosen = silhouette_k(points, results) if kmax > 1 else 1
     fit = results[chosen]
     centroids = np.asarray(fit.centroids, dtype=float)

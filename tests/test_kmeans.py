@@ -1,5 +1,7 @@
 """From-scratch k-means: correctness and invariants (incl. hypothesis)."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,3 +144,47 @@ def test_empty_cluster_repair():
         for i in range(len(points))
     )
     assert result.inertia == pytest.approx(recomputed)
+
+
+def test_lone_row_equals_its_row_in_a_mixed_batch():
+    """Every restart row of a batched k = 2..8 fit (56 rows, n = 300)
+    equals that row fitted alone through ``_lloyd``, bit for bit.  A
+    flattened ``(rows * k, d) @ (d, n)`` distance product changed 20 of
+    these 56 rows in their last bits, because its blocking follows the
+    row count."""
+    km = importlib.import_module("repro.core.kmeans")
+    rng = np.random.default_rng(1)
+    centers = rng.normal(size=(5, 12)) * 8
+    points = centers[rng.integers(0, 5, 300)] + rng.normal(size=(300, 12))
+    points_t = np.ascontiguousarray(points.T)
+    x_sq = np.einsum("ij,ij->i", points, points)
+    row_k, first, uniforms = km._draws(300, {k: k for k in range(2, 9)}, 8)
+    seeds = km._kmeanspp(points, points_t, x_sq, row_k, first, uniforms)
+    batch = seeds.copy()
+    labels, inertia, n_iter = km._lloyd_rows(points, points_t, x_sq, batch,
+                                             row_k, 200, 1e-9)
+    for r, k in enumerate(row_k):
+        alone = km._lloyd(points, seeds[r, :k], max_iter=200, tol=1e-9)
+        assert np.array_equal(alone.labels, labels[r])
+        assert np.array_equal(alone.centroids, batch[r, :k])
+        assert alone.inertia == inertia[r]
+        assert alone.n_iter == n_iter[r]
+
+
+def test_row_chunks_respect_the_budget(monkeypatch):
+    """Chunks cover the sorted rows in order; each chunk's
+    ``(rows, max k, n)`` buffer fits the budget unless it is one row,
+    and no chunk could have taken its successor's first row."""
+    km = importlib.import_module("repro.core.kmeans")
+    row_k = np.repeat(np.arange(2, 9), 8)
+    for budget in (1, 1000, 32 * 1024, 64 * 1024, 2 ** 62):
+        monkeypatch.setattr(km, "_CHUNK_FLOATS", budget)
+        for n in (2, 47, 131, 600, 5000):
+            chunks = km._chunks(row_k, n)
+            assert chunks[0][0] == 0 and chunks[-1][1] == row_k.size
+            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+            for lo, hi in chunks:
+                assert hi > lo
+                assert hi - lo == 1 or (hi - lo) * row_k[hi - 1] * n <= budget
+                if hi < row_k.size:
+                    assert (hi - lo + 1) * row_k[hi] * n > budget

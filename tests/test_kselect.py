@@ -1,19 +1,29 @@
 """k selection: variance elbow, chord elbow, silhouette."""
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import incremental
+from repro.core.incremental import bounded_resweep
 from repro.core.kmeans import kmeans
 from repro.core.kselect import (
+    DEFAULT_KMAX,
     KSelection,
     choose_k,
     elbow_k,
     silhouette_k,
     silhouette_score,
+    spawn_seedseqs,
     variance_elbow_k,
     wcss_curve,
 )
 from repro.util.errors import ClusteringError, ValidationError
+
+kmeans_module = importlib.import_module("repro.core.kmeans")
 
 
 def blobs(k, n=25, spread=0.2, seed=0):
@@ -205,6 +215,66 @@ def test_per_k_seeds_independent_of_sweep_order():
     for k in small:
         assert small[k].inertia == full[k].inertia
         assert np.array_equal(small[k].labels, full[k].labels)
+
+
+def _same_fit(a, b):
+    return (a.k == b.k and np.array_equal(a.labels, b.labels)
+            and np.array_equal(a.centroids, b.centroids)
+            and a.inertia == b.inertia and a.n_iter == b.n_iter)
+
+
+@st.composite
+def point_sets(draw):
+    """2..300 points in 1..20 dimensions: duplicate-heavy integer grids,
+    gaussian noise, or gaussian blobs."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 20))
+    kind = draw(st.sampled_from(("grid", "noise", "blobs")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "grid":
+        return rng.integers(0, 3, size=(n, d)).astype(float)
+    if kind == "noise":
+        return rng.normal(scale=10.0, size=(n, d))
+    centers = rng.normal(scale=20.0, size=(4, d))
+    return centers[rng.integers(0, 4, n)] + rng.normal(size=(n, d))
+
+
+@settings(max_examples=25, deadline=None)
+@given(points=point_sets(), seed=st.integers(0, 2 ** 32 - 1))
+def test_lone_k_equals_any_sweep_and_any_chunking(points, seed):
+    """A k's fit does not depend on what else is fitted beside it: alone,
+    in a sweep to the top k or in one that stops at k, under any row
+    chunk budget (one row, the default, unlimited)."""
+    top = min(DEFAULT_KMAX, points.shape[0])
+    children = spawn_seedseqs(seed, top)
+    reference = wcss_curve(points, kmax=top, seed=seed)
+    for budget in (1, kmeans_module._CHUNK_FLOATS, 2 ** 62):
+        with mock.patch.object(kmeans_module, "_CHUNK_FLOATS", budget):
+            sweep = wcss_curve(points, kmax=top, seed=seed)
+            for k in range(1, top + 1):
+                assert _same_fit(sweep[k], reference[k])
+                assert _same_fit(kmeans(points, k, seed=children[k - 1]),
+                                 reference[k])
+                assert _same_fit(wcss_curve(points, kmax=k, seed=seed)[k],
+                                 reference[k])
+
+
+def test_bounded_resweep_equals_per_candidate_fits(monkeypatch):
+    """The daemon's refit fits its candidates in one sweep, and returns
+    what one ``kmeans`` call per candidate with the same child seeds
+    returns."""
+    rng = np.random.default_rng(7)
+    points = np.vstack([rng.normal(c, 0.5, size=(40, 5))
+                        for c in (0.0, 4.0, 8.0, 12.0)])
+    cases = [(k, seed) for k in (1, 2, 3, 5, 8) for seed in (0, 11)]
+    swept = [bounded_resweep(points, k, kmax=8, seed=seed) for k, seed in cases]
+    monkeypatch.setattr(
+        incremental, "kmeans_sweep",
+        lambda features, seeds_by_k, n_init: {
+            k: kmeans(features, k, seed=s, n_init=n_init)
+            for k, s in seeds_by_k.items()})
+    for (k, seed), fit in zip(cases, swept):
+        assert _same_fit(fit, bounded_resweep(points, k, kmax=8, seed=seed))
 
 
 # ----------------------------------------------------------------------

@@ -124,16 +124,12 @@ def test_window_selects_by_timestamp(tmp_path):
 # ----------------------------------------------------------------------
 # tiers + compaction
 # ----------------------------------------------------------------------
-def test_blob_appends_buffer_around_one_shared_table(tmp_path, monkeypatch):
+def test_blob_appends_buffer_around_one_shared_table(tmp_path):
     """Binary-protocol appends buffer a snapshot's header and records
     around the decoder's shared string table, not a copy of all of its
     bytes: a stream's pending intervals hold its table once, scan and
     window read them back unchanged, and the segments a flush writes are
     those of a store that buffers full copies, checksum for checksum."""
-    # A zip entry carries the clock's time: pin the clock zipfile reads
-    # so two stores' segments can compare byte for byte.
-    monkeypatch.setattr(zipfile, "time", types.SimpleNamespace(
-        time=lambda: 1.7e9, localtime=time.localtime))
     blobs = [dumps_gmon(s) for s in make_series(70, with_arcs=True)]
     shared = SegmentStore(tmp_path / "shared", segment_intervals=32)
     copies = SegmentStore(tmp_path / "copies", segment_intervals=32)
@@ -161,6 +157,36 @@ def test_blob_appends_buffer_around_one_shared_table(tmp_path, monkeypatch):
         assert segs == [(m.name, m.count, m.sha256) for m in
                         SegmentStore(tmp_path / "copies")._streams[sid]]
         assert [count for _, count, _ in segs] == [32, 32, 6]
+
+
+def test_segment_and_manifest_bytes_do_not_depend_on_the_clock(
+        tmp_path, monkeypatch):
+    """Two stores given the same appends under two different clocks
+    write byte-identical segments and manifests, raw and compacted, and
+    ``np.load`` reads every segment."""
+    series = make_series(70, with_arcs=True)
+    files = []
+    for name, clock in (("early", 1.7e9), ("late", 1.9e9)):
+        monkeypatch.setattr(zipfile, "time", types.SimpleNamespace(
+            time=lambda clock=clock: clock, localtime=time.localtime))
+        store = SegmentStore(tmp_path / name, segment_intervals=16)
+        for i, snap in enumerate(series):
+            store.append("0", i, snap)
+        store.flush()
+        store.compact("0", raw_keep=1)
+        store.close()
+        root = tmp_path / name
+        files.append({str(p.relative_to(root)): p.read_bytes()
+                      for p in sorted(root.rglob("*")) if p.is_file()})
+    assert files[0] == files[1]
+    segments = [n for n in files[0] if n.endswith(".npz")]
+    assert {"-t0.npz", "-t1.npz"} <= {n[-7:] for n in segments}
+    for name in segments:
+        with zipfile.ZipFile(io.BytesIO(files[0][name])) as zf:
+            assert all(info.date_time == (1980, 1, 1, 0, 0, 0)
+                       for info in zf.infolist())
+        with np.load(io.BytesIO(files[0][name])) as npz:
+            assert all(npz[key].size >= 0 for key in npz.files)
 
 
 def test_vector_tier_preserves_classification_fields(tmp_path):

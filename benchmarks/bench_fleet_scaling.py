@@ -53,7 +53,6 @@ def _measure_fleet(n_workers: int, root: str, model_path: str,
     with WorkerSupervisor(config) as supervisor:
         with FleetRouter(supervisor,
                          RouterConfig(endpoint=Endpoint.tcp("127.0.0.1", 0),
-                                      mode="proxy",
                                       log_level="error")) as router:
             load = gen.run(router.endpoint, N_STREAMS, N_INTERVALS,
                            stream_prefix=f"bench{n_workers}", retry=RETRY)

@@ -22,7 +22,7 @@ Quickstart::
 
 from repro._lazy import lazy_attributes
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 # Subpackages and re-exported names load on first use, so a process pays
 # only for the layers it runs (the daemon never imports ``repro.apps``;

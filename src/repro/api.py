@@ -26,9 +26,8 @@ The surface groups into five layers:
   assignments and :class:`RefitEvent` model swaps; its ``finalize()``
   reproduces :func:`analyze_snapshots` exactly (see
   ``docs/STREAMING.md``).
-- **collection** — :class:`Session` (simulated app runs) and
-  :class:`SampleStore` (on-disk gmon sample directories; deprecated in
-  favour of the unified storage interface below).
+- **collection** — :class:`Session` (simulated app runs) and the
+  cumulative-profile snapshot format (:class:`GmonData`).
 - **storage** — :class:`IntervalStore` (the unified append/scan/window/
   compact/gc/replay interface), its two backends :class:`LooseStore`
   (legacy loose gmon files) and :class:`SegmentStore` (tiered columnar
@@ -82,7 +81,7 @@ from repro.core.online import NOVEL, OnlinePhaseTracker, TrackedInterval
 
 # -- collection --------------------------------------------------------
 from repro.gprof.gmon import GmonData, read_gmon, write_gmon
-from repro.incprof import SampleStore, Session, SessionConfig, SessionResult
+from repro.incprof import Session, SessionConfig, SessionResult
 
 # -- storage -----------------------------------------------------------
 from repro.store.interface import IntervalStore, ReplayResult
@@ -144,7 +143,6 @@ __all__ = [
     "GmonData",
     "read_gmon",
     "write_gmon",
-    "SampleStore",
     "Session",
     "SessionConfig",
     "SessionResult",

@@ -674,7 +674,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     )
     endpoint = (Endpoint.unix(args.unix) if args.unix
                 else Endpoint.tcp(args.host, args.port))
-    router_config = RouterConfig(endpoint=endpoint, mode=args.mode,
+    router_config = RouterConfig(endpoint=endpoint,
                                  log_level=args.log_level,
                                  dashboard_port=args.dashboard_port)
     supervisor = WorkerSupervisor(fleet_config)
@@ -695,8 +695,8 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     print(f"incprofd fleet: {args.workers} worker(s) under {root}")
     for worker_id, info in sorted(supervisor.status()["workers"].items()):
         print(f"  {worker_id}: {info['endpoint']}")
-    print(f"router listening on {bound} (mode={args.mode}, "
-          f"ring generation {supervisor.ring.generation})")
+    print(f"router listening on {bound} "
+          f"(ring generation {supervisor.ring.generation})")
     if router.dashboard_http is not None:
         print(f"analytics dashboard: {router.dashboard_http.url}")
     try:
@@ -751,7 +751,6 @@ def _serve_fleet_selftest(args: argparse.Namespace) -> int:
             supervisor.start_monitor()
             with FleetRouter(supervisor,
                              RouterConfig(endpoint=Endpoint.tcp("127.0.0.1", 0),
-                                          mode=args.mode,
                                           log_level="error")) as router:
                 # Pick stream ids so the consistent-hash ring provably
                 # spreads the scenario traffic over >= 2 workers (the
@@ -817,7 +816,7 @@ def _serve_fleet_selftest(args: argparse.Namespace) -> int:
         source = stats.get("classify_latency_source", {})
         print(f"fleet selftest: {n_workers} workers, {n_streams} streams x "
               f"{n_intervals} intervals ({len(shapes)} scenario shapes "
-              f"across {len(owners)} workers) through {args.mode} router; "
+              f"across {len(owners)} workers) through the router; "
               f"killed {victim}; "
               f"migrated={status['migrations_total']}, "
               f"ring generation {status['generation']}, "
@@ -897,7 +896,7 @@ def _serve_fleet_analytics_selftest(args: argparse.Namespace) -> int:
             with FleetRouter(
                     supervisor,
                     RouterConfig(endpoint=Endpoint.tcp("127.0.0.1", 0),
-                                 mode=args.mode, log_level="error",
+                                 log_level="error",
                                  dashboard_port=0)) as router:
                 for kind, pattern in kinds.items():
                     for i in range(per_kind):
@@ -1444,10 +1443,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="router TCP port (0 = ephemeral)")
     p_fleet.add_argument("--unix", default=None,
                          help="router unix socket path instead of TCP")
-    p_fleet.add_argument("--mode", default="proxy",
-                         choices=["proxy", "redirect"],
-                         help="proxy forwards requests; redirect points "
-                              "publishers at the owning worker")
     p_fleet.add_argument("--queue", type=int, default=64,
                          help="per-stream queue capacity in each worker")
     p_fleet.add_argument("--policy", default="block",

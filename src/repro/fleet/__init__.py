@@ -12,8 +12,8 @@ up, shared-nothing:
   metrics port each), monitors liveness over the existing ping
   machinery, restarts crashed workers, and evicts repeat offenders.
 - :mod:`repro.fleet.router` — a thin front end speaking the existing
-  wire protocol: routes ``hello``/``snapshot``/``bye`` by ring lookup
-  (proxy- or redirect-mode), fans ``fleet-status``/``stats``/
+  wire protocol: proxies ``hello``/``snapshot``/``bye`` to the owner a
+  ring lookup names, fans ``fleet-status``/``stats``/
   ``metrics``/``trace`` out across workers and merges the replies, and
   on worker death rebalances the ring and drives orphaned streams
   through checkpoint-restore + ``resume_from``.

@@ -15,8 +15,8 @@ percent at fleet sizes that fit one box.
 
 Every membership change bumps ``generation``.  The generation travels in
 ``hello`` replies and ``ring-update`` controls so a worker can refuse
-streams it no longer owns (``wrong-worker``) and a client can tell a
-stale redirect from a current one.
+streams it no longer owns (``wrong-worker``) and a refusal names the
+ring generation it was decided under.
 """
 
 from __future__ import annotations

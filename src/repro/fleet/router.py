@@ -3,18 +3,12 @@
 The router speaks the existing ``incprofd`` wire protocol, so every
 publisher, ``incprof submit``, and dashboard works against a fleet
 unchanged.  Per-stream requests (``hello``/``snapshot``/``heartbeat``/
-``bye``) are routed by consistent-hash lookup; fleet-wide requests
-(``stats``/``fleet-status``/``metrics``/``trace``) fan out across the
-live workers and merge the replies.
-
-Two routing modes:
-
-- **proxy** (default): the router forwards the request over a pooled
-  per-worker connection and relays the worker's reply.  Publishers only
-  ever know the router's address.
-- **redirect**: the router answers with a ``redirect`` routing reply
-  carrying the owning worker's endpoint; the client dials the worker
-  directly and keeps the router out of the data path.
+``bye``) are proxied: a consistent-hash lookup names the owning worker,
+the router forwards the request over a pooled per-worker connection
+and relays the worker's reply, so publishers only ever know the
+router's address.  Fleet-wide requests (``stats``/``fleet-status``/
+``metrics``/``trace``) fan out across the live workers and merge the
+replies.
 
 When a forward fails, the router answers ``worker-unavailable`` (the
 protocol's "not processed, resend later") and reports the worker to the
@@ -47,27 +41,18 @@ from repro.service.protocol import (
     HeartbeatMsg,
     Message,
     Reply,
-    SnapshotMsg,
     binary_envelope,
     decode_payload,
     enable_nodelay,
     read_frame,
-    redirect_reply,
     worker_unavailable_reply,
     write_message,
 )
-from repro.util.errors import (
-    ProtocolError,
-    ReproError,
-    ServiceError,
-    ValidationError,
-)
+from repro.util.errors import ProtocolError, ReproError, ServiceError
 from repro.util.jsonlog import JsonLogger
 
 if TYPE_CHECKING:  # imported in start() only when a dashboard port is set
     from repro.service.webserver import DashboardServer
-
-ROUTER_MODES = ("proxy", "redirect")
 
 #: Forwarding links fail fast; the publisher's own retry machinery (not
 #: a blocked router thread) absorbs worker downtime.
@@ -80,18 +65,11 @@ class RouterConfig:
     """Tunables of one fleet router."""
 
     endpoint: Endpoint = field(default_factory=Endpoint.tcp)
-    mode: str = "proxy"
     log_level: str = "info"
     #: Serve the merged fleet-analytics dashboard on this port
     #: (None = off; 0 = ephemeral).  See ``docs/ANALYTICS.md``.
     dashboard_port: Optional[int] = None
     dashboard_host: str = "127.0.0.1"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ROUTER_MODES:
-            raise ValidationError(
-                f"unknown router mode {self.mode!r} "
-                f"(expected one of {ROUTER_MODES})")
 
 
 class FleetRouter:
@@ -164,7 +142,6 @@ class FleetRouter:
                 title="incprofd fleet analytics")
             self.dashboard_http.start()
         self.log.info("router-started", endpoint=str(self._endpoint),
-                      mode=cfg.mode,
                       workers=len(self.ring))
         return self._endpoint
 
@@ -251,7 +228,7 @@ class FleetRouter:
                     write_message(fh, Reply(ok=False, error=str(exc)))
                     continue
                 if envelope is not None:
-                    # Binary v2 frame: the peeked header names the
+                    # A binary snapshot: the peeked header names the
                     # stream, so it routes without decoding the gmon
                     # payload and proxies to the owner byte for byte.
                     reply = self._dispatch_raw(envelope.stream_id, payload)
@@ -294,8 +271,8 @@ class FleetRouter:
     # ------------------------------------------------------------------
     def _dispatch(self, msg: Message) -> Reply:
         try:
-            if isinstance(msg, (Hello, SnapshotMsg, HeartbeatMsg, Bye)):
-                return self._route(msg)
+            if isinstance(msg, (Hello, HeartbeatMsg, Bye)):
+                return self._forward_to_owner(msg.stream_id, msg)
             if isinstance(msg, Control):
                 return self._on_control(msg)
         except ServiceError as exc:
@@ -305,34 +282,20 @@ class FleetRouter:
     def _dispatch_raw(self, stream_id: str, payload: bytes) -> Reply:
         """Dispatch an already-encoded binary frame by its peeked header."""
         try:
-            return self._route_payload(stream_id, payload)
+            return self._forward_to_owner(stream_id, None, payload=payload)
         except ServiceError as exc:
             return Reply(ok=False, error=str(exc), data={"code": exc.code})
 
-    def _route(self, msg: Message) -> Reply:
-        return self._route_payload(msg.stream_id, None, msg)
+    def _forward_to_owner(self, stream_id: str, msg: Optional[Message],
+                          payload: Optional[bytes] = None) -> Reply:
+        """Forward one request to the stream's owner over a pooled link.
 
-    def _route_payload(self, stream_id: str, payload: Optional[bytes],
-                       msg: Optional[Message] = None) -> Reply:
+        A raw ``payload`` (a binary snapshot) is relayed verbatim with no
+        transcoding; JSON messages go through the normal encoder.
+        """
         owner = self.ring.lookup_or_none(stream_id)
         if owner is None:
             return worker_unavailable_reply("", "ring has no workers")
-        if self.config.mode == "redirect":
-            try:
-                endpoint = self.supervisor.endpoint_of(owner)
-            except ServiceError:
-                return worker_unavailable_reply(owner, "owner not live")
-            self.routed += 1
-            return redirect_reply(endpoint, owner, self.ring.generation)
-        return self._forward(owner, msg, payload=payload)
-
-    def _forward(self, owner: str, msg: Optional[Message],
-                 payload: Optional[bytes] = None) -> Reply:
-        """Proxy-mode forwarding over a pooled per-worker link.
-
-        A raw ``payload`` (binary v2 snapshot) is relayed verbatim with
-        no transcoding; JSON messages go through the normal encoder.
-        """
         try:
             link = self._link(owner)
             if payload is not None:
@@ -399,7 +362,6 @@ class FleetRouter:
         merged = aggregate_worker_stats(
             {wid: r.data for wid, r in replies.items() if r.ok})
         merged["role"] = "router"
-        merged["mode"] = self.config.mode
         merged["ring_generation"] = self.ring.generation
         merged["routed"] = self.routed
         merged["forward_failures"] = self.forward_failures
@@ -510,7 +472,6 @@ class FleetRouter:
             return Reply(ok=True, data={
                 "version": 1,
                 "role": "router",
-                "mode": self.config.mode,
                 "workers": len(self.ring),
                 "ring_generation": self.ring.generation,
             })

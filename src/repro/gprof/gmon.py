@@ -310,8 +310,8 @@ class GmonBlob:
     cached) and the archive keeps them as they are (buffered around the
     shared string table, :meth:`split`), so neither builds a
     :class:`GmonData`; :meth:`load` builds one for callers that want
-    dicts.  A blob also rides *encoding* untouched — both codecs emit
-    its bytes directly, so a publisher holding pre-serialized gmon
+    dicts.  A blob also rides *encoding* untouched — the binary frame
+    carries its bytes directly, so a publisher holding pre-serialized gmon
     files never re-serializes, and a router relaying a snapshot never
     parses it.
 

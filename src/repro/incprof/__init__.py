@@ -10,20 +10,18 @@ collection loop in both execution modes:
 - :class:`~repro.incprof.collector.LiveCollector` is a real daemon thread
   snapshotting a :class:`~repro.profiler.tracing.TracingProfiler`.
 
-:class:`~repro.incprof.storage.SampleStore` handles the per-interval file
-naming and loading; :class:`~repro.incprof.session.Session` orchestrates a
-full collection run of a workload across simulated MPI ranks.
+:class:`~repro.incprof.session.Session` orchestrates a full collection run
+of a workload across simulated MPI ranks; the per-interval sample files
+live in :mod:`repro.store` (:class:`~repro.store.loose.LooseStore`).
 """
 
 from repro.incprof.collector import VirtualSnapshotCollector, LiveCollector
-from repro.incprof.storage import SampleStore
 from repro.incprof.session import Session, SessionConfig, SessionResult
 from repro.incprof.script_runner import ScriptProfile, profile_callable, profile_script
 
 __all__ = [
     "VirtualSnapshotCollector",
     "LiveCollector",
-    "SampleStore",
     "Session",
     "SessionConfig",
     "SessionResult",

@@ -24,10 +24,10 @@ __getattr__, __dir__, _names = lazy_attributes(__name__, {
     "exposition": ("CONTENT_TYPE", "parse_prometheus", "render_prometheus"),
     "faults": ("FaultAction", "FaultInjector", "FlakyEndpoint"),
     "metrics": ("STAGES", "LatencyWindow", "ServiceMetrics"),
-    "protocol": ("BINARY_PROTOCOL_VERSION", "PROTOCOL_VERSION",
-                 "SUPPORTED_PROTOCOLS", "Bye", "Control", "Endpoint", "Hello",
-                 "HeartbeatMsg", "Reply", "SnapshotMsg", "decode_message",
-                 "encode_message", "negotiate", "read_message", "write_message"),
+    "protocol": ("BINARY_PROTOCOL_VERSION", "PROTOCOL_VERSION", "Bye",
+                 "Control", "Endpoint", "Hello", "HeartbeatMsg", "Reply",
+                 "SnapshotMsg", "decode_message", "encode_message",
+                 "read_message", "write_message"),
     "registry": ("StreamRegistry", "StreamState"),
     "selfekg": ("SelfInstrument",),
     "server": ("BACKPRESSURE_POLICIES", "BoundedStreamQueue", "PhaseMonitorServer",

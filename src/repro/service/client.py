@@ -1,9 +1,9 @@
 """Publishers for ``incprofd``.
 
 :class:`PhaseClient` is the low-level request/reply connection; on top of
-it sit the replay helpers (stream a :class:`~repro.incprof.session.Session`
-run or a :class:`~repro.incprof.storage.SampleStore` directory through the
-service, one stream per rank) and :class:`SyntheticLoadGenerator`, which
+it sit the replay helpers (stream a snapshot series or a
+:class:`~repro.incprof.session.Session` run through the service, one
+stream per rank) and :class:`SyntheticLoadGenerator`, which
 manufactures deterministic snapshot streams for throughput and
 backpressure testing without running a workload at all.
 
@@ -33,12 +33,8 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from repro.gprof.gmon import GmonData
 from repro.heartbeat.accumulator import HeartbeatRecord
 from repro.service.protocol import (
-    CODECS,
-    PROTOCOL_VERSION,
-    ROUTE_REDIRECT,
-    ROUTE_WRONG_WORKER,
+    ROUTE_UNAVAILABLE,
     ROUTING_CODES,
-    SUPPORTED_PROTOCOLS,
     Bye,
     Control,
     Endpoint,
@@ -50,7 +46,6 @@ from repro.service.protocol import (
     encode_message,
     frame_bytes,
     read_message,
-    routing_directive,
 )
 from repro.service.tracing import new_trace_id
 from repro.util.errors import (
@@ -106,14 +101,14 @@ class RetryPolicy:
 NO_RETRY = RetryPolicy(max_attempts=1, base_delay=0.0, max_delay=0.0,
                        jitter=0.0)
 
-#: Routing-hop budget per request: a redirect chain longer than this
-#: (router -> worker -> wrong-worker -> home -> ...) means the fleet's
-#: view is churning; surface the routing reply instead of looping.
+#: Resend budget per request: more routing replies in a row than this
+#: means the fleet's view is churning; surface the routing reply instead
+#: of looping.
 MAX_ROUTE_HOPS = 4
 
-#: Default in-flight window for pipelined submission once binary v2 is
-#: negotiated.  Deep enough to hide one round trip behind the next
-#: encode, shallow enough that a resume rewind stays cheap.
+#: In-flight window of pipelined submission.  Deep enough to hide one
+#: round trip behind the next encode, shallow enough that a resume
+#: rewind stays cheap.
 PIPELINE_WINDOW = 8
 
 
@@ -138,34 +133,20 @@ class PhaseClient:
         timeout: Optional[float] = None,
         seed: Optional[int] = None,
         follow_routing: bool = True,
-        protocols: Sequence[int] = SUPPORTED_PROTOCOLS,
     ) -> None:
         self.endpoint = endpoint
-        #: Codec versions this client offers in ``hello``.  Pass ``(1,)``
-        #: to pin a client to the JSON wire (benchmark baselines, talking
-        #: to a pre-v2 daemon without a handshake round trip).
-        self.protocols = tuple(protocols)
-        #: The codec actually in use; starts at v1 and upgrades when a
-        #: hello reply negotiates higher.  Sticky across reconnects —
-        #: every reconnect path re-``hello``\ s, which re-negotiates.
-        self.wire_version = PROTOCOL_VERSION
-        #: The resolve point this client was built with (in a fleet: the
-        #: router).  Redirects move ``endpoint`` to a worker; on a
-        #: ``wrong-worker`` refusal or an unreachable worker the client
-        #: comes back here to re-resolve.
-        self.home = endpoint
         self.retry = retry if retry is not None else RetryPolicy()
         if timeout is not None:
             self.retry = replace(self.retry, request_timeout=timeout)
         self.check = check
-        #: Follow fleet routing replies transparently.  A router's own
-        #: worker links set this False: the router *is* the resolver, so
-        #: a routing reply must surface to it, not be chased.
+        #: Resend on fleet routing replies transparently.  A router's
+        #: own worker links set this False: the router *is* the
+        #: resolver, so a routing reply must surface to it, not be
+        #: chased.
         self.follow_routing = follow_routing
         self.connect_retries = 0
         self.reconnects = 0
         self.request_retries = 0
-        self.redirects = 0
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self._sock = None
@@ -217,23 +198,6 @@ class PhaseClient:
             self.reconnects += 1
             self._connect_locked()
 
-    def rehome(self) -> None:
-        """Go back to the original endpoint (the router) and re-dial.
-
-        The recovery move when a redirected-to worker died: its address
-        is useless now, but the home endpoint can re-resolve the stream's
-        new owner.
-        """
-        self._switch(self.home)
-
-    def _switch(self, endpoint: Endpoint) -> None:
-        """Drop the current connection and dial ``endpoint`` instead."""
-        with self._lock:
-            self._teardown_locked()
-            self.endpoint = endpoint
-            self.reconnects += 1
-            self._connect_locked()
-
     def close(self) -> None:
         with self._lock:
             self._teardown_locked()
@@ -258,12 +222,11 @@ class PhaseClient:
         server-side effects (snapshots, byes) must NOT be blindly resent:
         resume via ``hello(resume=True)`` instead.
 
-        The message is encoded exactly once, up front — every retry,
-        redirect hop, and resend reuses the same frame bytes.  An
-        oversized message therefore also fails here, locally, before any
-        round trip.
+        The message is encoded exactly once, up front — every retry and
+        resend reuses the same frame bytes.  An oversized message
+        therefore also fails here, locally, before any round trip.
         """
-        frame = encode_message(msg, version=self.wire_version)
+        frame = encode_message(msg)
         if not idempotent:
             return self._routed(frame, check)
         last: Optional[Exception] = None
@@ -293,41 +256,24 @@ class PhaseClient:
         return self._routed(frame_bytes(payload), check)
 
     def _routed(self, frame: bytes, check: Optional[bool]) -> Reply:
-        """One request, transparently following fleet routing replies.
+        """One request, resent while the fleet answers with routing replies.
 
-        Routing replies (``redirect``/``wrong-worker``/
-        ``worker-unavailable``) mean "not processed, safe to resend
-        elsewhere" by protocol contract, so resending here is safe even
-        for snapshots.  A redirect with an address dials the owning
-        worker; a ``wrong-worker`` refusal (a worker after a rebalance,
-        no address known) re-resolves through the home endpoint; an
-        unavailable worker backs off first — the supervisor is likely
-        mid-restart.  The hop budget keeps a churning fleet from looping
-        this client forever.
+        Routing replies (``wrong-worker``/``worker-unavailable``) mean
+        "not processed, safe to resend" by protocol contract, so
+        resending here is safe even for snapshots.  The resend goes to
+        the same router on the same connection, and the router resolves
+        the stream's owner again; an unavailable worker backs off first
+        — the supervisor is likely mid-restart.  The hop budget keeps a
+        churning fleet from looping this client forever.
         """
         reply = self._transact(frame, check=False)
         hops = 0
         while (self.follow_routing and not reply.ok
+               and reply.data.get("code") in ROUTING_CODES
                and hops < MAX_ROUTE_HOPS):
-            directive = routing_directive(reply)
-            if directive is None:
-                break
+            if reply.data["code"] == ROUTE_UNAVAILABLE:
+                time.sleep(self.retry.delay_for(hops, self._rng))
             hops += 1
-            self.redirects += 1
-            if (directive.code == ROUTE_REDIRECT
-                    and directive.endpoint is not None):
-                try:
-                    self._switch(directive.endpoint)
-                except RetryExhaustedError:
-                    # The redirected-to worker is unreachable (it may
-                    # have just died); let home re-resolve instead.
-                    time.sleep(self.retry.delay_for(hops - 1, self._rng))
-                    self.rehome()
-            elif directive.code == ROUTE_WRONG_WORKER:
-                self.rehome()
-            else:  # worker-unavailable (or an address-less redirect)
-                time.sleep(self.retry.delay_for(hops - 1, self._rng))
-                self.rehome()
             reply = self._transact(frame, check=False)
         effective = self.check if check is None else check
         if effective and not reply.ok:
@@ -427,36 +373,17 @@ class PhaseClient:
     # ------------------------------------------------------------------
     def hello(self, stream_id: str, app: str = "", rank: int = 0,
               resume: bool = False, *, check: Optional[bool] = None) -> Reply:
-        """Register (or resume) a stream and negotiate the wire codec.
-
-        The hello offers this client's ``protocols``; a successful reply
-        carries the server's pick in ``data["protocol"]`` and upgrades
-        :attr:`wire_version` for every subsequent snapshot.  A reply from
-        a pre-v2 server has no ``protocol`` key and leaves the client on
-        JSON v1 — the fallback is automatic in both directions.
-        """
-        reply = self.request(
-            Hello(stream_id=stream_id, app=app, rank=rank, resume=resume,
-                  protocols=self.protocols),
+        """Register (or resume) a stream."""
+        return self.request(
+            Hello(stream_id=stream_id, app=app, rank=rank, resume=resume),
             check=check, idempotent=resume)
-        if reply.ok:
-            try:
-                negotiated = int(reply.data.get("protocol", PROTOCOL_VERSION))
-            except (TypeError, ValueError):
-                negotiated = PROTOCOL_VERSION
-            if negotiated in CODECS and negotiated in self.protocols:
-                self.wire_version = negotiated
-            else:
-                self.wire_version = PROTOCOL_VERSION
-        return reply
 
     def encode_snapshot(self, stream_id: str, seq: int, gmon: GmonData,
                         trace_id: str = "") -> bytes:
-        """Encode one snapshot to a reusable frame at the negotiated codec."""
+        """Encode one snapshot to a reusable binary frame."""
         return encode_message(
             SnapshotMsg(stream_id=stream_id, seq=seq, gmon=gmon,
-                        trace_id=trace_id),
-            version=self.wire_version)
+                        trace_id=trace_id))
 
     def snapshot(self, stream_id: str, seq: int, gmon: GmonData,
                  *, trace_id: str = "",
@@ -569,8 +496,6 @@ def publish_samples(
     delay: float = 0.0,
     retry: Optional[RetryPolicy] = None,
     trace: bool = True,
-    pipeline: Optional[int] = None,
-    protocols: Sequence[int] = SUPPORTED_PROTOCOLS,
 ) -> PublishReport:
     """Replay one rank's cumulative snapshot series through the service.
 
@@ -578,17 +503,16 @@ def publish_samples(
     one ``snapshot`` per collection interval (plus any AppEKG rows), and an
     orderly ``bye`` whose reply carries the server-side classification.
 
-    Submission is *pipelined*: each snapshot is encoded once (binary v2
-    when the hello negotiates it) and up to ``pipeline`` frames ride the
-    wire before the first reply is drained, so round-trip latency is paid
+    Submission is *pipelined*: each snapshot is encoded once, as a
+    binary frame, and up to :data:`PIPELINE_WINDOW` frames ride the wire
+    before the first reply is drained, so round-trip latency is paid
     once per window instead of once per interval.  Windows move in
     *bursts* — the frames of a window are buffered and flushed in one
     write, and the window's replies drain together — so syscall and
-    wakeup costs are paid per window too.  ``pipeline=None``
-    picks :data:`PIPELINE_WINDOW` on a v2 wire and the classic one-at-a-
-    time submit on v1; the replies come back in send order, each echoing
-    its sequence number, and any misalignment (a swallowed reply) resyncs
-    through the resume handshake rather than guessing.
+    wakeup costs are paid per window too.  The replies come back in
+    send order, each echoing its sequence number, and any misalignment
+    (a swallowed reply) resyncs through the resume handshake rather
+    than guessing.
 
     The replay rides through connection losses and daemon restarts: on
     failure it reconnects (exponential backoff + jitter), re-``hello``\\ s
@@ -607,16 +531,8 @@ def publish_samples(
     samples = list(samples)
 
     def resume(client: PhaseClient) -> int:
-        """Reconnect + resume handshake; returns the next seq to send.
-
-        When the current endpoint is a worker that died, re-dialing it is
-        pointless — fall back to the home endpoint (the router) so the
-        resume hello re-resolves the stream's new owner.
-        """
-        try:
-            client.reconnect()
-        except RetryExhaustedError:
-            client.rehome()
+        """Reconnect + resume handshake; returns the next seq to send."""
+        client.reconnect()
         report.reconnects += 1
         reply = client.hello(stream_id, app=app, rank=rank, resume=True)
         if not reply.ok:
@@ -626,18 +542,11 @@ def publish_samples(
         return int(reply.data.get("resume_from", 0))
 
     try:
-        with PhaseClient(endpoint, retry=retry, check=False,
-                         protocols=protocols) as client:
+        with PhaseClient(endpoint, retry=retry, check=False) as client:
             reply = client.hello(stream_id, app=app, rank=rank, resume=True)
             if not reply.ok:
                 report.error = reply.error
                 return report
-            if pipeline is not None:
-                window = max(1, int(pipeline))
-            elif client.wire_version > PROTOCOL_VERSION:
-                window = PIPELINE_WINDOW
-            else:
-                window = 1
 
             #: seq -> (encoded frame, trace id).  Encoded exactly once;
             #: a resume rewind resends these bytes verbatim.  Entries are
@@ -699,7 +608,7 @@ def publish_samples(
                         # one flush too) — syscalls per interval drop
                         # from two round-trips' worth to ~2/window.
                         while (next_seq < len(samples)
-                               and len(in_flight) < window):
+                               and len(in_flight) < PIPELINE_WINDOW):
                             client.send_frame(frame_for(next_seq),
                                               flush=False)
                             in_flight.append(next_seq)
@@ -729,7 +638,7 @@ def publish_samples(
                 if (not reply.ok
                         and (code in ROUTING_CODES
                              or code == UnknownStreamError.code)):
-                    # A routing refusal that survived the client's hop
+                    # A routing refusal that survived the client's resend
                     # budget means "not processed" — the fleet is mid-
                     # rebalance.  ``unknown-stream`` mid-replay means the
                     # same thing from the other side: the stream's new
@@ -809,8 +718,6 @@ def publish_session(
     include_heartbeats: bool = True,
     delay: float = 0.0,
     retry: Optional[RetryPolicy] = None,
-    pipeline: Optional[int] = None,
-    protocols: Sequence[int] = SUPPORTED_PROTOCOLS,
 ) -> Dict[str, PublishReport]:
     """Stream every rank of a :class:`~repro.incprof.session.SessionResult`
     through the service concurrently (one connection + thread per rank)."""
@@ -831,8 +738,6 @@ def publish_session(
                                    if include_heartbeats else ()),
                 delay=delay,
                 retry=retry,
-                pipeline=pipeline,
-                protocols=protocols,
             )
         except (ReproError, OSError) as exc:
             # A publisher thread must not die silently: surface the
@@ -924,8 +829,6 @@ class SyntheticLoadGenerator:
         stream_prefix: str = "load",
         delay: float = 0.0,
         retry: Optional[RetryPolicy] = None,
-        pipeline: Optional[int] = None,
-        protocols: Sequence[int] = SUPPORTED_PROTOCOLS,
     ) -> LoadResult:
         """Publish ``n_streams`` concurrent synthetic streams; aggregate."""
         reports: Dict[str, PublishReport] = {}
@@ -937,9 +840,7 @@ class SyntheticLoadGenerator:
                 report = publish_samples(endpoint, stream_id,
                                          self.stream(i, n_intervals),
                                          app="synthetic-load", rank=i,
-                                         delay=delay, retry=retry,
-                                         pipeline=pipeline,
-                                         protocols=protocols)
+                                         delay=delay, retry=retry)
             except (ReproError, OSError) as exc:
                 report = PublishReport(stream_id=stream_id, error=str(exc))
             with lock:
@@ -1004,8 +905,6 @@ class ScenarioLoadGenerator:
         n_intervals: int,
         delay: float = 0.0,
         retry: Optional[RetryPolicy] = None,
-        pipeline: Optional[int] = None,
-        protocols: Sequence[int] = SUPPORTED_PROTOCOLS,
     ) -> LoadResult:
         """Publish ``(stream_id, shape_index)`` streams concurrently."""
         reports: Dict[str, PublishReport] = {}
@@ -1018,8 +917,7 @@ class ScenarioLoadGenerator:
                     endpoint, stream_id,
                     self.stream(shape, n_intervals, rank=index),
                     app=getattr(spec, "name", "scenario-load"), rank=index,
-                    delay=delay, retry=retry, pipeline=pipeline,
-                    protocols=protocols)
+                    delay=delay, retry=retry)
             except (ReproError, OSError) as exc:
                 report = PublishReport(stream_id=stream_id, error=str(exc))
             with lock:

@@ -1,25 +1,21 @@
 """The ``incprofd`` wire protocol.
 
 Every message is one *frame*: a 4-byte big-endian payload length followed
-by a payload encoded by one of two registered codecs.
+by a payload.  Each message kind has exactly one encoding, and this
+module is the only place that chooses it:
 
-Protocol v1 (JSON) payloads are UTF-8 JSON objects.  The object always
-carries ``"v"`` (protocol version) and ``"type"`` (message kind); the
-remaining keys are the typed message's fields.  Gmon snapshots travel
-inside frames as base64 of the existing binary gmon serialization, so
-the service ingest path exercises exactly the same corrupt/truncated-file
-checks as the offline loader.
+- A **snapshot** is a binary frame: a struct-packed header plus the
+  *raw* gmon serialization (no base64, no JSON re-encode); the receiver
+  carves the gmon bytes out of the frame zero-copy with ``memoryview``.
+  A snapshot **ack** is packed the same way whenever the packed layout
+  carries it exactly.
+- **Every other kind** (hello, heartbeat, control, reply, bye) is a
+  UTF-8 JSON object carrying ``"v": 1`` and ``"type"`` (message kind);
+  the remaining keys are the typed message's fields.
 
-Protocol v2 (binary) payloads start with a NUL byte — never a valid JSON
-start — so both codecs share one byte stream and a receiver dispatches
-per frame without any out-of-band state.  v2 frames a snapshot as a
-struct-packed header plus the *raw* gmon serialization (no base64, no
-JSON re-encode); the gmon bytes are carved out of the received frame
-zero-copy with ``memoryview``.  Low-rate kinds (hello, control, replies,
-heartbeats, bye) keep riding on JSON even at v2.  A client offers its
-codecs in ``hello.protocols``; the server answers with the negotiated
-version in the reply's ``protocol`` field.  Peers that predate v2 ignore
-both keys, so mixed-version pairs settle on v1 automatically.
+A binary payload starts with a NUL byte — never a valid JSON start — so
+a receiver dispatches per frame without any out-of-band state.  A JSON
+``snapshot`` payload is not a snapshot encoding and is rejected.
 
 Message kinds
 -------------
@@ -33,30 +29,27 @@ Message kinds
 ``bye``        orderly stream shutdown
 
 Anything malformed — short frame, oversized frame, broken JSON, unknown
-type, missing field, undecodable snapshot — raises
-:class:`~repro.util.errors.ProtocolError`; a clean EOF between frames
-returns ``None`` from :func:`read_message`.
+type, missing field, undecodable snapshot, a snapshot sent as JSON —
+raises :class:`~repro.util.errors.ProtocolError`; a clean EOF between
+frames returns ``None`` from :func:`read_message`.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 import socket
 import struct
 from dataclasses import asdict, dataclass, field
-from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, BinaryIO, Dict, List, Optional, Tuple, Union
 
 from repro.gprof.gmon import GmonBlob, GmonData, dumps_gmon, loads_gmon
 from repro.heartbeat.accumulator import HeartbeatRecord
 from repro.util.errors import FormatError, ProtocolError
 
+#: The ``"v"`` of every JSON payload.
 PROTOCOL_VERSION = 1
+#: The version byte of every binary frame.
 BINARY_PROTOCOL_VERSION = 2
-#: Codec versions this build can speak, lowest first.  v1 is the floor
-#: every peer understands; anything newer is opt-in via negotiation.
-SUPPORTED_PROTOCOLS = (PROTOCOL_VERSION, BINARY_PROTOCOL_VERSION)
 
 #: Hard cap on one frame's JSON payload; anything larger is rejected
 #: before allocation (a malicious or corrupt length prefix must not make
@@ -85,11 +78,6 @@ class Hello:
     app: str = ""
     rank: int = 0
     resume: bool = False
-    #: Codec versions the publisher can speak.  Defaults to v1 only, so
-    #: a message minted by (or parsed from) an old peer stays equal to
-    #: what that peer meant.  The server picks the highest version both
-    #: sides support and echoes it in the hello reply's ``protocol``.
-    protocols: Tuple[int, ...] = (PROTOCOL_VERSION,)
 
     TYPE = "hello"
 
@@ -106,8 +94,8 @@ class SnapshotMsg:
     the server mints one on admission so every interval is traceable.
 
     ``gmon`` is normally a parsed :class:`GmonData`; it may instead be a
-    :class:`GmonBlob` — already-serialized bytes that both codecs emit
-    verbatim and a lazy binary decode hands back unparsed.
+    :class:`GmonBlob` — already-serialized bytes that the binary frame
+    carries verbatim and a lazy decode hands back unparsed.
     """
 
     stream_id: str
@@ -164,22 +152,6 @@ Message = Any  # union of the dataclasses above
 # ----------------------------------------------------------------------
 # wire <-> message
 # ----------------------------------------------------------------------
-def _gmon_to_wire(gmon: Union[GmonData, GmonBlob]) -> str:
-    raw = gmon.raw if isinstance(gmon, GmonBlob) else dumps_gmon(gmon)
-    return base64.b64encode(raw).decode("ascii")
-
-
-def _gmon_from_wire(blob: str) -> GmonData:
-    try:
-        raw = base64.b64decode(blob.encode("ascii"), validate=True)
-    except (binascii.Error, UnicodeEncodeError) as exc:
-        raise ProtocolError(f"snapshot payload is not valid base64: {exc}") from exc
-    try:
-        return loads_gmon(raw)
-    except FormatError as exc:
-        raise ProtocolError(f"snapshot payload is not a valid gmon: {exc}") from exc
-
-
 def _record_to_wire(record: HeartbeatRecord) -> Dict[str, Any]:
     return asdict(record)
 
@@ -209,15 +181,11 @@ def _record_from_wire(obj: Any) -> HeartbeatRecord:
 
 
 def message_to_obj(msg: Message) -> Dict[str, Any]:
-    """Lower a typed message to its wire JSON object."""
+    """Lower a typed message to its wire JSON object (snapshots have none)."""
     obj: Dict[str, Any] = {"v": PROTOCOL_VERSION, "type": msg.TYPE}
     if isinstance(msg, Hello):
         obj.update(stream_id=msg.stream_id, app=msg.app, rank=msg.rank,
-                   resume=msg.resume, protocols=list(msg.protocols))
-    elif isinstance(msg, SnapshotMsg):
-        obj.update(stream_id=msg.stream_id, seq=msg.seq, gmon=_gmon_to_wire(msg.gmon))
-        if msg.trace_id:
-            obj["trace"] = msg.trace_id
+                   resume=msg.resume)
     elif isinstance(msg, HeartbeatMsg):
         obj.update(stream_id=msg.stream_id,
                    records=[_record_to_wire(r) for r in msg.records])
@@ -228,7 +196,7 @@ def message_to_obj(msg: Message) -> Dict[str, Any]:
     elif isinstance(msg, Bye):
         obj.update(stream_id=msg.stream_id)
     else:
-        raise ProtocolError(f"cannot encode {type(msg).__name__}")
+        raise ProtocolError(f"cannot encode {type(msg).__name__} as JSON")
     return obj
 
 
@@ -252,22 +220,12 @@ def message_from_obj(obj: Any) -> Message:
         raise ProtocolError(f"unsupported protocol version {version}")
     kind = _require(obj, "type", str)
     if kind == Hello.TYPE:
-        raw_protocols = obj.get("protocols") or [PROTOCOL_VERSION]
-        if not isinstance(raw_protocols, list):
-            raise ProtocolError("field 'protocols' must be a list")
-        try:
-            protocols = tuple(int(p) for p in raw_protocols)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad 'protocols' entry: {exc!r}") from exc
         return Hello(stream_id=_require(obj, "stream_id", str),
                      app=str(obj.get("app", "")), rank=int(obj.get("rank", 0)),
-                     resume=bool(obj.get("resume", False)),
-                     protocols=protocols)
+                     resume=bool(obj.get("resume", False)))
     if kind == SnapshotMsg.TYPE:
-        return SnapshotMsg(stream_id=_require(obj, "stream_id", str),
-                           seq=_require(obj, "seq", int),
-                           gmon=_gmon_from_wire(_require(obj, "gmon", str)),
-                           trace_id=str(obj.get("trace", "") or ""))
+        raise ProtocolError("a snapshot travels only as a binary frame, "
+                            "never as JSON")
     if kind == HeartbeatMsg.TYPE:
         records = _require(obj, "records", list)
         return HeartbeatMsg(stream_id=_require(obj, "stream_id", str),
@@ -284,11 +242,11 @@ def message_from_obj(obj: Any) -> Message:
 
 
 # ----------------------------------------------------------------------
-# codec registry
+# binary frames
 # ----------------------------------------------------------------------
-#: First payload byte of every v2 frame.  A JSON payload can never start
-#: with NUL, so one receiver dispatches both codecs per frame with no
-#: out-of-band state.
+#: First payload bytes of every binary frame.  A JSON payload can never
+#: start with NUL, so one receiver dispatches both encodings per frame
+#: with no out-of-band state.
 BINARY_MAGIC = b"\x00IPB"
 _BIN_PREFIX = struct.Struct(">4sBB")    # magic, codec version, kind code
 _BIN_SNAPSHOT = struct.Struct(">QIHH")  # seq, gmon_len, stream_id_len, trace_id_len
@@ -309,7 +267,7 @@ _ACK_KEYS = frozenset(("outcome", "seq", "trace", "model_version", "code"))
 
 @dataclass(frozen=True)
 class BinaryEnvelope:
-    """A peeked v2 frame: routing fields without the gmon bytes decoded.
+    """A peeked binary snapshot: routing fields without the gmon decoded.
 
     Lets a proxy (the fleet router) pick the owning worker and forward
     the original payload verbatim — no deserialize/re-serialize of the
@@ -340,8 +298,8 @@ def _is_snapshot_ack(msg: Message) -> bool:
 
     Deliberately strict: any reply with extra keys, an unknown outcome,
     or a field that does not fit its fixed-width slot is *not* an ack
-    for encoding purposes and rides the JSON codec instead — fallback,
-    never failure.
+    for encoding purposes and rides JSON instead — fallback, never
+    failure.
     """
     if not isinstance(msg, Reply):
         return False
@@ -413,7 +371,7 @@ def _parse_binary_ack(view: memoryview) -> Reply:
 
 
 def _parse_binary_snapshot(view: memoryview) -> Tuple[int, str, str, memoryview]:
-    """Validate a v2 snapshot payload; return (seq, stream_id, trace_id, gmon bytes).
+    """Validate a binary snapshot; return (seq, stream_id, trace_id, gmon bytes).
 
     The gmon bytes come back as a ``memoryview`` slice of the input —
     zero-copy — so callers that only need the envelope never touch them.
@@ -441,9 +399,7 @@ def _parse_binary_snapshot(view: memoryview) -> Tuple[int, str, str, memoryview]
 
 
 class JsonCodec:
-    """Protocol v1: UTF-8 JSON payloads, gmon snapshots as base64."""
-
-    version = PROTOCOL_VERSION
+    """UTF-8 JSON payloads: every message kind except snapshots."""
 
     def encode(self, msg: Message) -> bytes:
         return json.dumps(message_to_obj(msg), separators=(",", ":")).encode("utf-8")
@@ -457,7 +413,7 @@ class JsonCodec:
 
 
 class BinaryCodec:
-    """Protocol v2: struct-packed snapshot payloads carrying raw gmon bytes.
+    """Struct-packed snapshot payloads carrying raw gmon bytes.
 
     Snapshot layout (big-endian)::
 
@@ -472,18 +428,14 @@ class BinaryCodec:
         trace_id                       UTF-8, trace_id_len bytes
         gmon                           raw IGMON serialization, gmon_len bytes
 
-    Only snapshots — the hot path — get a binary layout; every other
-    message kind delegates to the JSON codec, which is always valid on
-    the shared stream because the receiver dispatches per frame.
+    Its :meth:`encode` is where each message kind's one encoding is
+    chosen: snapshots — the hot path — and the snapshot acks a packed
+    frame carries exactly go binary; every other message goes to the
+    JSON codec, which the receiver tells apart per frame.
     """
-
-    version = BINARY_PROTOCOL_VERSION
 
     def encode(self, msg: Message) -> bytes:
         if not isinstance(msg, SnapshotMsg):
-            # Snapshot acks — the reply-side hot path — also pack; every
-            # other message (and any ack a packed frame can't represent
-            # exactly) delegates to JSON.
             if _is_snapshot_ack(msg):
                 return _encode_ack(msg)
             return JSON_CODEC.encode(msg)
@@ -500,7 +452,8 @@ class BinaryCodec:
             raise ProtocolError(f"frame of {size} bytes exceeds the "
                                 f"{MAX_FRAME_BYTES}-byte limit")
         return b"".join((
-            _BIN_PREFIX.pack(BINARY_MAGIC, self.version, KIND_SNAPSHOT),
+            _BIN_PREFIX.pack(BINARY_MAGIC, BINARY_PROTOCOL_VERSION,
+                             KIND_SNAPSHOT),
             _BIN_SNAPSHOT.pack(msg.seq, len(gmon), len(sid), len(tid)),
             sid, tid, gmon))
 
@@ -532,31 +485,10 @@ class BinaryCodec:
 
 JSON_CODEC = JsonCodec()
 BINARY_CODEC = BinaryCodec()
-CODECS = {codec.version: codec for codec in (JSON_CODEC, BINARY_CODEC)}
-
-
-def codec_for(version: int) -> Union[JsonCodec, BinaryCodec]:
-    """The registered codec for ``version``, or :class:`ProtocolError`."""
-    try:
-        return CODECS[version]
-    except KeyError:
-        raise ProtocolError(f"unsupported protocol version {version}") from None
-
-
-def negotiate(offered: Iterable[int],
-              supported: Iterable[int] = SUPPORTED_PROTOCOLS) -> int:
-    """Pick the highest codec version both sides speak.
-
-    Falls back to v1 when the sets don't intersect: v1 is the floor
-    every peer has spoken since PR 1, so an empty intersection only
-    means the other side is from the future — it can still talk v1.
-    """
-    common = set(offered) & set(supported)
-    return max(common) if common else PROTOCOL_VERSION
 
 
 def binary_envelope(payload: Union[bytes, memoryview]) -> Optional[BinaryEnvelope]:
-    """Peek a payload's routing fields if it is a v2 binary frame.
+    """Peek a payload's routing fields if it is a binary frame.
 
     Returns ``None`` for JSON payloads (route those by decoding as
     usual).  Malformed binary payloads raise :class:`ProtocolError`.
@@ -572,15 +504,23 @@ def binary_envelope(payload: Union[bytes, memoryview]) -> Optional[BinaryEnvelop
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
-def encode_message(msg: Message, version: int = PROTOCOL_VERSION) -> bytes:
+def encode_message(msg: Message,
+                   version: int = BINARY_PROTOCOL_VERSION) -> bytes:
     """Serialize one message to a length-prefixed frame.
+
+    The message's kind picks its encoding (see :class:`BinaryCodec`).
+    ``version`` names the binary frame version for callers that spell
+    it out; 2 is the only one this build writes, and any other value is
+    a :class:`ProtocolError`.
 
     Oversized messages fail here — on the encoding side, before any
     bytes hit the wire — with the same :class:`ProtocolError` the
     receiver would raise, so a publisher with a pathological snapshot
     learns locally instead of after a round trip.
     """
-    payload = codec_for(version).encode(msg)
+    if version != BINARY_PROTOCOL_VERSION:
+        raise ProtocolError(f"unsupported protocol version {version}")
+    payload = BINARY_CODEC.encode(msg)
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {len(payload)} bytes exceeds the "
                             f"{MAX_FRAME_BYTES}-byte limit")
@@ -596,15 +536,7 @@ def decode_message(frame: bytes) -> Message:
     if len(payload) != length:
         raise ProtocolError(f"frame length prefix says {length} bytes, "
                             f"got {len(payload)}")
-    return _decode_payload(payload)
-
-
-def _decode_payload(payload: Union[bytes, memoryview],
-                    lazy_gmon: bool = False) -> Message:
-    view = memoryview(payload)
-    if view.nbytes and view[0] == 0:
-        return BINARY_CODEC.decode(view, lazy_gmon=lazy_gmon)
-    return JSON_CODEC.decode(payload)
+    return decode_payload(payload)
 
 
 def read_frame(stream: BinaryIO) -> Optional[bytes]:
@@ -690,14 +622,17 @@ class FrameReader:
         return payload
 
 
-def decode_payload(payload: bytes, lazy_gmon: bool = False) -> Message:
+def decode_payload(payload: Union[bytes, memoryview],
+                   lazy_gmon: bool = False) -> Message:
     """Decode one frame's payload into a typed message.
 
     ``lazy_gmon`` applies only to binary snapshot payloads (see
-    :meth:`BinaryCodec.decode`); JSON payloads always validate fully,
-    keeping v1's admission semantics exactly as they were.
+    :meth:`BinaryCodec.decode`).
     """
-    return _decode_payload(payload, lazy_gmon=lazy_gmon)
+    view = memoryview(payload)
+    if view.nbytes and view[0] == 0:
+        return BINARY_CODEC.decode(view, lazy_gmon=lazy_gmon)
+    return JSON_CODEC.decode(payload)
 
 
 def read_message(stream: BinaryIO) -> Optional[Message]:
@@ -705,13 +640,12 @@ def read_message(stream: BinaryIO) -> Optional[Message]:
     payload = read_frame(stream)
     if payload is None:
         return None
-    return _decode_payload(payload)
+    return decode_payload(payload)
 
 
-def write_message(stream: BinaryIO, msg: Message,
-                  version: int = PROTOCOL_VERSION) -> None:
-    """Frame and write one message with the given codec version."""
-    stream.write(encode_message(msg, version=version))
+def write_message(stream: BinaryIO, msg: Message) -> None:
+    """Frame and write one message."""
+    stream.write(encode_message(msg))
     stream.flush()
 
 
@@ -736,38 +670,12 @@ def write_frame(stream: BinaryIO, payload: Union[bytes, memoryview]) -> None:
 # ----------------------------------------------------------------------
 # fleet routing replies
 # ----------------------------------------------------------------------
-#: Reply ``data.code`` values that mean "re-route, don't fail": the
-#: request was NOT processed and may safely be resent to the right
-#: worker (or back through the router's home endpoint).
-ROUTE_REDIRECT = "redirect"
+#: Reply ``data.code`` values that mean "not processed, resend": the
+#: request was NOT processed and may safely be sent again to the router,
+#: which re-resolves the stream's owner.
 ROUTE_WRONG_WORKER = "wrong-worker"
 ROUTE_UNAVAILABLE = "worker-unavailable"
-ROUTING_CODES = (ROUTE_REDIRECT, ROUTE_WRONG_WORKER, ROUTE_UNAVAILABLE)
-
-
-@dataclass(frozen=True)
-class RoutingDirective:
-    """A parsed routing reply: where the request should go instead.
-
-    ``endpoint`` is None when the replier knows the owner's identity but
-    not its address (a worker after a rebalance) — the client should
-    then fall back to its home (router) endpoint and re-resolve.
-    """
-
-    code: str
-    worker_id: str = ""
-    endpoint: Optional["Endpoint"] = None
-    ring_generation: int = 0
-
-
-def redirect_reply(endpoint: "Endpoint", worker_id: str,
-                   ring_generation: int) -> "Reply":
-    """A router's redirect-mode answer: dial the owning worker directly."""
-    return Reply(ok=False,
-                 error=f"stream is served by worker {worker_id!r}",
-                 data={"code": ROUTE_REDIRECT, "worker_id": worker_id,
-                       "endpoint": str(endpoint),
-                       "ring_generation": ring_generation})
+ROUTING_CODES = (ROUTE_WRONG_WORKER, ROUTE_UNAVAILABLE)
 
 
 def wrong_worker_reply(owner: str, worker_id: str,
@@ -786,27 +694,6 @@ def worker_unavailable_reply(worker_id: str, cause: str) -> "Reply":
     return Reply(ok=False,
                  error=f"worker {worker_id!r} is unavailable: {cause}",
                  data={"code": ROUTE_UNAVAILABLE, "worker_id": worker_id})
-
-
-def routing_directive(reply: "Reply") -> Optional[RoutingDirective]:
-    """Parse a routing reply, or ``None`` for any non-routing reply."""
-    if reply.ok:
-        return None
-    code = str(reply.data.get("code", ""))
-    if code not in ROUTING_CODES:
-        return None
-    endpoint = None
-    spec = reply.data.get("endpoint")
-    if spec:
-        try:
-            endpoint = Endpoint.parse(str(spec))
-        except ProtocolError:
-            endpoint = None  # a malformed hint is no hint
-    return RoutingDirective(
-        code=code,
-        worker_id=str(reply.data.get("worker_id", "")),
-        endpoint=endpoint,
-        ring_generation=int(reply.data.get("ring_generation", 0) or 0))
 
 
 # ----------------------------------------------------------------------

@@ -42,12 +42,12 @@ import traceback
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from queue import Empty, Queue
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.incremental import AdaptiveConfig, DriftConfig
 from repro.core.model_io import MODEL_MAGIC, MODEL_SCHEMA, pack_artifact
 from repro.core.online import OnlinePhaseTracker, classify_across
-from repro.gprof.gmon import GmonBlob, GmonData
+from repro.gprof.gmon import GmonBlob
 from repro.heartbeat.ldms import LDMSTransport
 from repro.util.atomicio import atomic_write_bytes
 from repro.fleet.ring import HashRing
@@ -69,9 +69,6 @@ from repro.core.cohorts import CohortMatcher
 from repro.service.exposition import CONTENT_TYPE, render_prometheus
 from repro.service.metrics import ServiceMetrics, StageClock
 from repro.service.protocol import (
-    BINARY_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-    SUPPORTED_PROTOCOLS,
     Bye,
     Control,
     Endpoint,
@@ -84,7 +81,6 @@ from repro.service.protocol import (
     decode_payload,
     enable_nodelay,
     encode_message,
-    negotiate,
     wrong_worker_reply,
 )
 from repro.service.registry import StreamRegistry, StreamState
@@ -115,8 +111,9 @@ REJECTED = "rejected"
 BACKPRESSURE_POLICIES = ("block", "drop-oldest", "reject")
 
 #: One queued snapshot as the classify thread pops it: the reader's
-#: ``(seq, gmon, trace_id, put_start)`` and the queue's admission time.
-Entry = Tuple[Tuple[int, Union[GmonData, GmonBlob], str, float], float]
+#: ``(seq, gmon bytes, trace_id, put_start)`` and the queue's admission
+#: time.
+Entry = Tuple[Tuple[int, GmonBlob, str, float], float]
 
 
 class BoundedStreamQueue:
@@ -260,11 +257,6 @@ class ServerConfig:
     #: Finished-stream history ring size (drop-oldest beyond this, with
     #: evictions counted in ``finished_evicted``).
     finished_capacity: int = 64
-    #: Highest wire codec version this daemon advertises in hello
-    #: replies.  The decoder always accepts every registered codec
-    #: (dispatch is per frame); lowering this only steers clients — the
-    #: knob that lets tests exercise a v1-only server.
-    max_protocol: int = BINARY_PROTOCOL_VERSION
     #: How many ready streams one classify tick coalesces into a single
     #: cross-stream vectorized classify call.  1 restores strictly
     #: per-stream ticks.
@@ -296,8 +288,6 @@ class ServerConfig:
             raise ValidationError("store compact interval must be positive")
         if self.artifact_keep < 1:
             raise ValidationError("artifact_keep must be positive")
-        if self.max_protocol < 1:
-            raise ValidationError("max protocol must be at least 1")
         if self.coalesce_streams < 1:
             raise ValidationError("coalesce_streams must be positive")
 
@@ -586,10 +576,6 @@ class PhaseMonitorServer:
         enable_nodelay(conn)
         reader = FrameReader(conn)
         fh = conn.makefile("wb")
-        # Replies follow the version this connection's hello negotiated
-        # (v1 until one arrives): a v2 publisher gets packed snapshot
-        # acks, everyone else plain JSON.
-        wire_version = PROTOCOL_VERSION
 
         def send(reply: Reply) -> None:
             # Corked replies: under a pipelined submission window the
@@ -597,7 +583,7 @@ class PhaseMonitorServer:
             # flush and answer the whole burst with one send.  With a
             # single-shot client nothing is ever buffered and this
             # degenerates to flush-per-reply.
-            fh.write(encode_message(reply, version=wire_version))
+            fh.write(encode_message(reply))
             if not reader.buffered_frame():
                 fh.flush()
 
@@ -613,7 +599,7 @@ class PhaseMonitorServer:
                 if payload is None:
                     break
                 try:
-                    # Lazy gmon: a binary snapshot is admitted on header
+                    # Lazy gmon: a snapshot is admitted on header
                     # validation alone; the classify thread pays the
                     # parse off this reader thread's critical path.
                     msg = decode_payload(payload, lazy_gmon=True)
@@ -624,9 +610,6 @@ class PhaseMonitorServer:
                     send(Reply(ok=False, error=str(exc)))
                     continue
                 reply = self._dispatch(msg)
-                if isinstance(msg, Hello) and reply.ok:
-                    wire_version = int(
-                        reply.data.get("protocol", PROTOCOL_VERSION))
                 action = (self.faults.on_reply(msg.TYPE)
                           if self.faults is not None else None)
                 if action is not None:
@@ -831,17 +814,10 @@ class PhaseMonitorServer:
                                              self.config.policy)
             if tracker is not None:
                 self._watch_refits(state, tracker)
-        advertised = [v for v in SUPPORTED_PROTOCOLS
-                      if v <= self.config.max_protocol]
         return Reply(ok=True, data=self._fleet_fields({
             "stream_id": msg.stream_id,
             "policy": self.config.policy,
             "queue_capacity": self.config.queue_capacity,
-            # Codec negotiation: the highest version both sides speak.
-            # A pre-v2 client never sent ``protocols`` (its parsed Hello
-            # defaults to v1 only) and ignores these reply keys.
-            "protocol": negotiate(msg.protocols, advertised),
-            "protocols": advertised,
             "classifying": state.tracker is not None,
             "refitting": (state.tracker is not None
                           and self.adaptive is not None),
@@ -1203,7 +1179,7 @@ class PhaseMonitorServer:
         preps: List[Tuple[StreamState, List[Entry], List[Entry], List[Any]]] = []
         for state, batch in work:
             # Universe-projected delta vectors (see delta_vector) — the
-            # classify pass consumes them without re-vectorizing.  A v2
+            # classify pass consumes them without re-vectorizing.  Each
             # snapshot is differenced straight from its bytes.
             profiles: List[Any] = []
             # The entries differencing accepted: only these count as
@@ -1297,11 +1273,11 @@ class PhaseMonitorServer:
         Runs under the stream's ``work_lock`` after commit, so per-stream
         interval order is preserved.  A sequence number at or below the
         store's last archived index (a resume overlap after a restart)
-        is skipped — the bytes are already durable.  A v2 snapshot is
-        archived as its raw bytes, under its header's timestamp, with no
-        :class:`GmonData` built.  Archive failures (a corrupt blob among
-        them) are logged, never fatal: the store is an observability
-        surface, not the classification path.
+        is skipped — the bytes are already durable.  Every entry is a
+        :class:`GmonBlob`, archived as its raw bytes under its header's
+        timestamp, with no ``GmonData`` built.  Archive failures (a
+        corrupt blob among them) are logged, never fatal: the store is
+        an observability surface, not the classification path.
         """
         store = self.store
         if store is None:

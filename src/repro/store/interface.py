@@ -1,9 +1,7 @@
 """The unified storage interface: one way to persist and read intervals.
 
-Persistence grew three ad-hoc shapes — ``SampleStore.save/load_rank/
-load_rank_since/load_all`` for loose sample files, checkpoint files, and
-model artifacts.  :class:`IntervalStore` collapses the interval-data
-side into one abstract surface both backends implement:
+:class:`IntervalStore` is the one abstract surface for interval data
+that both backends implement:
 
 - :class:`~repro.store.loose.LooseStore` — the legacy one-file-per-
   interval gmon layout (readable by every old tool, O(files) metadata);
@@ -11,9 +9,9 @@ side into one abstract surface both backends implement:
   segments with retention tiers and compaction (the fleet-scale layout).
 
 Everything is keyed by *stream id* (a string; the loose layout uses the
-decimal rank).  ``scan`` is the one read primitive — every legacy load
-method is a thin wrapper over it — and :meth:`IntervalStore.replay` is
-the time-travel API: re-drive any recorded window through a fresh
+decimal rank).  ``scan`` is the one read primitive, and
+:meth:`IntervalStore.replay` is the time-travel API: re-drive any
+recorded window through a fresh
 :class:`~repro.core.incremental.IncrementalAnalyzer` at memory speed,
 for refit-policy backtesting against recorded traffic (see
 ``docs/STORAGE.md``).  The analyzer runs the daemon's live-model engine

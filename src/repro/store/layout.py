@@ -3,12 +3,10 @@
 Every durable artifact the package writes — loose gmon samples, segment
 files and their manifest, phase-model artifacts (``.ipm``), daemon
 checkpoints (``.ipckp``), atomic-write temp files — gets its name from
-this module.  Before it existed the same patterns were re-derived in
-``incprof.storage``, ``service.checkpoint``, ``service.server``, and
-``util.atomicio``; a rename in one place silently orphaned files written
-by another.  Now parsers and formatters live side by side, so a layout
-change is one edit and the garbage collector can enumerate *exactly*
-the files the writers produce.
+this module, so a rename in one place cannot orphan files written by
+another.  Parsers and formatters live side by side, so a layout change
+is one edit and the garbage collector can enumerate *exactly* the files
+the writers produce.
 
 Nothing here touches the filesystem except :func:`gc_versioned`, the
 shared retention sweep for versioned artifacts.
@@ -48,7 +46,7 @@ def is_tmp_name(name: str) -> bool:
 
 
 # ----------------------------------------------------------------------
-# loose per-interval sample files (the legacy SampleStore layout)
+# loose per-interval sample files (the LooseStore layout)
 # ----------------------------------------------------------------------
 LOOSE_SAMPLE_RE = re.compile(
     r"^gmon-r(?P<rank>\d{3})-i(?P<index>\d{5})\.gmon$")

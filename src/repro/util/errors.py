@@ -130,25 +130,13 @@ class BackpressureError(RequestError):
     code = "backpressure"
 
 
-class RedirectError(RequestError):
-    """A fleet router answered: this stream lives on another worker.
-
-    The reply data carries ``endpoint`` (where to go), ``worker_id``, and
-    ``ring_generation``.  :class:`~repro.service.client.PhaseClient`
-    follows redirects transparently; this surfaces only when the hop
-    budget is exhausted or no target endpoint was given.
-    """
-
-    code = "redirect"
-
-
 class WrongWorkerError(RequestError):
     """A worker refused a stream the current ring assigns elsewhere.
 
-    Raised after a rebalance when a client keeps talking to the old
-    owner.  The reply data names the new ``owner`` and the ring
-    ``generation``; clients re-resolve through their home (router)
-    endpoint.
+    Raised after a rebalance when a request reaches the old owner.  The
+    reply data names the new owner (``worker_id``) and the
+    ``ring_generation``; clients resend through the router, which
+    resolves the owner again.
     """
 
     code = "wrong-worker"
@@ -196,7 +184,7 @@ class RetryExhaustedError(ServiceError):
 REQUEST_ERROR_CODES = {
     cls.code: cls
     for cls in (UnknownStreamError, StreamConflictError, BackpressureError,
-                RedirectError, WrongWorkerError, WorkerUnavailableError)
+                WrongWorkerError, WorkerUnavailableError)
 }
 
 

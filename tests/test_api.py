@@ -29,7 +29,7 @@ def test_facade_covers_the_headline_workflow():
     for name in ("Session", "SessionConfig", "analyze_snapshots",
                  "AnalysisConfig", "save_model", "load_model",
                  "OnlinePhaseTracker", "PhaseClient", "RetryPolicy",
-                 "SampleStore", "ReproError"):
+                 "ReproError"):
         assert name in api.__all__, name
 
 

@@ -338,7 +338,6 @@ def test_fleet_sigkill_rebalances_and_resumes_on_survivors(trained, tmp_path):
         victim = supervisor.ring.lookup("load-0")
         with FleetRouter(supervisor,
                          RouterConfig(endpoint=Endpoint.tcp("127.0.0.1", 0),
-                                      mode="proxy",
                                       log_level="error")) as router:
             box = {}
             thread = threading.Thread(

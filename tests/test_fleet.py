@@ -32,13 +32,18 @@ from repro.service.metrics import (
     merged_latency_percentiles,
 )
 from repro.service.protocol import (
-    ROUTE_REDIRECT,
+    BINARY_MAGIC,
     ROUTE_UNAVAILABLE,
     ROUTE_WRONG_WORKER,
-    Reply,
-    redirect_reply,
-    routing_directive,
+    ROUTING_CODES,
+    Hello,
+    SnapshotMsg,
+    decode_payload,
+    encode_message,
+    read_frame,
+    read_message,
     worker_unavailable_reply,
+    write_message,
     wrong_worker_reply,
 )
 from repro.service.registry import StreamRegistry, StreamState
@@ -130,41 +135,18 @@ class TestHashRing:
 # routing replies: the "not processed, resend elsewhere" contract
 # ----------------------------------------------------------------------
 class TestRoutingReplies:
-    def test_redirect_reply_carries_the_owner_address(self):
-        reply = redirect_reply(Endpoint.tcp("127.0.0.1", 9000), "w1", 3)
-        assert not reply.ok
-        directive = routing_directive(reply)
-        assert directive is not None
-        assert directive.code == ROUTE_REDIRECT
-        assert directive.worker_id == "w1"
-        assert directive.ring_generation == 3
-        assert directive.endpoint == Endpoint.tcp("127.0.0.1", 9000)
-
     def test_wrong_worker_names_the_real_owner(self):
         reply = wrong_worker_reply("w2", "w0", 5)
-        directive = routing_directive(reply)
-        assert directive.code == ROUTE_WRONG_WORKER
-        assert directive.worker_id == "w2"  # the owner, not the refuser
-        assert directive.endpoint is None
+        assert not reply.ok
+        assert reply.data["code"] == ROUTE_WRONG_WORKER
+        assert reply.data["worker_id"] == "w2"  # the owner, not the refuser
+        assert reply.data["ring_generation"] == 5
 
     def test_worker_unavailable_is_a_routing_reply(self):
-        directive = routing_directive(worker_unavailable_reply("w1", "died"))
-        assert directive.code == ROUTE_UNAVAILABLE
-
-    def test_non_routing_replies_parse_to_none(self):
-        assert routing_directive(Reply(ok=True)) is None
-        assert routing_directive(
-            Reply(ok=False, error="x", data={"code": "unknown-stream"})) is None
-
-    def test_malformed_redirect_endpoint_drops_the_address(self):
-        # The routing code still holds (not processed, resend), but an
-        # unparseable address must not be dialed — the client falls back
-        # to its home endpoint instead.
-        reply = Reply(ok=False, error="go away",
-                      data={"code": ROUTE_REDIRECT, "endpoint": ":::bad:::"})
-        directive = routing_directive(reply)
-        assert directive.code == ROUTE_REDIRECT
-        assert directive.endpoint is None
+        reply = worker_unavailable_reply("w1", "died")
+        assert not reply.ok
+        assert reply.data["code"] == ROUTE_UNAVAILABLE
+        assert reply.data["code"] in ROUTING_CODES
 
 
 # ----------------------------------------------------------------------
@@ -469,13 +451,12 @@ class TestWorkerFleetMode:
                 assert client.hello(mine).ok
                 denial = client.hello(theirs)
                 assert not denial.ok
-                directive = routing_directive(denial)
-                assert directive.code == ROUTE_WRONG_WORKER
-                assert directive.worker_id == "w1"
+                assert denial.data["code"] == ROUTE_WRONG_WORKER
+                assert denial.data["worker_id"] == "w1"
                 # snapshots for unowned streams refuse identically
                 sample = gen.stream(1, 1)[0]
                 refused = client.snapshot(theirs, 0, sample)
-                assert routing_directive(refused).code == ROUTE_WRONG_WORKER
+                assert refused.data["code"] == ROUTE_WRONG_WORKER
             assert server.metrics.snapshot()["wrong_worker"] >= 2
 
     def test_ring_update_reports_misplaced_streams(self, trained):
@@ -575,7 +556,6 @@ class TestFleetRouterInProcess:
         servers, ring, supervisor = fleet
         with FleetRouter(supervisor,
                          RouterConfig(endpoint=Endpoint.tcp("127.0.0.1", 0),
-                                      mode="proxy",
                                       log_level="error")) as router:
             load = gen.run(router.endpoint, 4, 12, retry=FAST_RETRY)
             assert load.sent == 48 and load.processed == 48
@@ -592,6 +572,32 @@ class TestFleetRouterInProcess:
                 assert sid not in [r["stream_id"]
                                    for r in other_rows["finished"]]
             assert router.routed > 0
+
+    def test_proxy_relays_the_packed_snapshot_ack(self, trained, fleet):
+        """A publisher reads back the worker's packed ack through the
+        router, not a JSON re-encoding of it."""
+        gen, _ = trained
+        _, _, supervisor = fleet
+        sample = gen.stream(3, 1)[0]
+        with FleetRouter(supervisor,
+                         RouterConfig(endpoint=Endpoint.tcp("127.0.0.1", 0),
+                                      log_level="error")) as router:
+            sock = router.endpoint.connect()
+            fh = sock.makefile("rwb")
+            try:
+                write_message(fh, Hello(stream_id="packed"))
+                assert read_message(fh).ok
+                fh.write(encode_message(
+                    SnapshotMsg(stream_id="packed", seq=0, gmon=sample)))
+                fh.flush()
+                payload = read_frame(fh)
+            finally:
+                fh.close()
+                sock.close()
+        assert payload.startswith(BINARY_MAGIC)
+        ack = decode_payload(payload)
+        assert ack.ok and ack.data["outcome"] == "accepted"
+        assert ack.data["seq"] == 0
 
     def test_router_merges_stats_exactly_and_labels_them(self, trained,
                                                          fleet):
@@ -613,89 +619,61 @@ class TestFleetRouterInProcess:
         assert {row["worker_id"] for row in status["finished"]} == {"w0", "w1"}
         assert "incprofd_processed_total 40" in metrics_text
 
-    def test_redirect_mode_hands_the_client_to_the_owner(self, trained,
-                                                         fleet):
-        gen, _ = trained
-        servers, ring, supervisor = fleet
-        sid = owned_stream(ring, "w1", prefix="redir-")
-        samples = gen.stream(11, 8)
-        with FleetRouter(supervisor,
-                         RouterConfig(endpoint=Endpoint.tcp("127.0.0.1", 0),
-                                      mode="redirect",
-                                      log_level="error")) as router:
-            client = PhaseClient(router.endpoint, retry=FAST_RETRY)
-            reply = client.hello(sid)
-            assert reply.ok
-            assert client.redirects >= 1
-            assert client.endpoint == servers["w1"].endpoint  # now direct
-            assert client.home == router.endpoint
-            for i, sample in enumerate(samples):
-                assert client.snapshot(sid, i, sample).ok
-            assert client.bye(sid).ok
-            client.close()
-
-    def test_rebalance_mid_stream_rehomes_through_the_router(self, trained,
-                                                             fleet):
-        """Satellite: the owner changes between requests — the direct
-        worker refuses (wrong-worker), the client re-resolves via its
-        home endpoint and lands on the new owner, without losing the
-        request."""
-        gen, _ = trained
-        servers, ring, supervisor = fleet
-        sid = owned_stream(ring, "w0", prefix="move-")
-        samples = gen.stream(12, 6)
-        with FleetRouter(supervisor,
-                         RouterConfig(endpoint=Endpoint.tcp("127.0.0.1", 0),
-                                      mode="redirect",
-                                      log_level="error")) as router:
-            client = PhaseClient(router.endpoint, retry=FAST_RETRY)
-            assert client.hello(sid, resume=True).ok
-            assert client.endpoint == servers["w0"].endpoint
-            client.snapshot(sid, 0, samples[0])
-
-            # w0 leaves the fleet: the shared ring rebalances and the
-            # survivors learn the new membership.
-            ring.remove_worker("w0")
-            supervisor.handles["w0"].evicted = True
-            for wid in ("w0", "w1"):
-                with PhaseClient(servers[wid].endpoint, retry=FAST_RETRY,
-                                 check=False) as push:
-                    push.control("ring-update", ring=ring.to_obj())
-
-            # The next request hits w0 directly, is refused with
-            # wrong-worker, rehomes through the router, and the resume
-            # handshake lands the stream on w1.
-            reply = client.hello(sid, resume=True)
-            assert reply.ok
-            assert reply.data["worker_id"] == "w1"
-            assert client.endpoint == servers["w1"].endpoint
-            assert client.redirects >= 2  # wrong-worker hop + new redirect
-            start = int(reply.data["resume_from"])
-            for i in range(start, len(samples)):
-                assert client.snapshot(sid, i, samples[i]).ok
-            bye = client.bye(sid)
-            assert bye.ok and bye.data["worker_id"] == "w1"
-            client.close()
-
     def test_forward_failure_reports_to_the_supervisor(self, trained, fleet):
         gen, _ = trained
         servers, ring, supervisor = fleet
         sid = owned_stream(ring, "w1", prefix="dead-")
         with FleetRouter(supervisor,
                          RouterConfig(endpoint=Endpoint.tcp("127.0.0.1", 0),
-                                      mode="proxy",
                                       log_level="error")) as router:
             servers["w1"].stop()  # the owner dies; router must not hang
             with PhaseClient(router.endpoint, retry=FAST_RETRY, check=False,
                              follow_routing=False) as client:
                 reply = client.hello(sid)
             assert not reply.ok
-            assert routing_directive(reply).code == ROUTE_UNAVAILABLE
+            assert reply.data["code"] == ROUTE_UNAVAILABLE
             assert router.forward_failures >= 1
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline and "w1" not in supervisor.failures:
             time.sleep(0.01)
         assert "w1" in supervisor.failures
+
+    def test_unavailable_owner_is_resent_on_the_same_connection(self,
+                                                                trained,
+                                                                fleet):
+        """``worker-unavailable`` means: back off, then resend to the same
+        router on the same connection; the router resolves the owner
+        again once the supervisor has rebalanced."""
+        servers, ring, supervisor = fleet
+        sid = owned_stream(ring, "w1", prefix="gone-")
+        evicting = threading.Lock()
+
+        def evict(worker_id):
+            # What the real supervisor does off the router's thread:
+            # shrink the ring and push it to the survivors.
+            with evicting:
+                supervisor.failures.append(worker_id)
+                if worker_id not in ring.members():
+                    return
+                ring.remove_worker(worker_id)
+                supervisor.handles[worker_id].evicted = True
+                with PhaseClient(servers["w0"].endpoint, retry=FAST_RETRY,
+                                 check=False) as push:
+                    push.control("ring-update", ring=ring.to_obj())
+
+        supervisor.handle_failure = evict
+        patient = RetryPolicy(base_delay=0.05, max_delay=0.5,
+                              request_timeout=5.0)
+        with FleetRouter(supervisor,
+                         RouterConfig(endpoint=Endpoint.tcp("127.0.0.1", 0),
+                                      log_level="error")) as router:
+            servers["w1"].stop()
+            with PhaseClient(router.endpoint, retry=patient) as client:
+                reply = client.hello(sid)
+                assert reply.ok and reply.data["worker_id"] == "w0"
+                assert client.reconnects == 0
+            assert router.forward_failures >= 1
+        assert set(supervisor.failures) == {"w1"}
 
     def test_router_rejects_worker_controls(self, trained, fleet):
         _, _, supervisor = fleet
@@ -718,14 +696,15 @@ class TestFleetRouterInProcess:
             with PhaseClient(router.endpoint, retry=FAST_RETRY, check=False,
                              follow_routing=False) as client:
                 reply = client.hello("nobody")
-            assert routing_directive(reply).code == ROUTE_UNAVAILABLE
+            assert reply.data["code"] == ROUTE_UNAVAILABLE
 
 
 @pytest.mark.socket
 class TestPublishThroughFleet:
     def test_publish_samples_survives_a_mid_stream_rebalance(self, trained):
         """End-to-end: a stream's worker leaves mid-replay; the stalls
-        path re-resolves and the replay finishes on the new owner."""
+        path re-resolves through the router and the replay finishes on
+        the new owner with every interval classified."""
         gen, template = trained
         ring = HashRing(["w0", "w1"], generation=1)
         servers = {}
@@ -743,7 +722,6 @@ class TestPublishThroughFleet:
             with FleetRouter(supervisor,
                              RouterConfig(
                                  endpoint=Endpoint.tcp("127.0.0.1", 0),
-                                 mode="proxy",
                                  log_level="error")) as router:
                 def rebalance():
                     time.sleep(0.15)
@@ -764,6 +742,13 @@ class TestPublishThroughFleet:
             finished = [r["stream_id"] for r in
                         servers["w1"].registry.fleet_status()["finished"]]
             assert sid in finished
+            # nothing lost: the new owner classified the whole stream,
+            # exactly as one undisturbed daemon would
+            reference = template.spawn(zero_start=True)
+            for snap in samples:
+                reference.observe_snapshot(snap)
+            assert report.processed == len(samples)
+            assert report.phase_sequence == reference.phase_sequence()
             # versions the client observed never went backwards
             assert report.model_versions == sorted(report.model_versions)
         finally:

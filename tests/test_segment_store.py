@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.gprof.gmon import GmonBlob, GmonData, dumps_gmon, loads_gmon
-from repro.incprof.storage import SampleStore
 from repro.store import layout
 from repro.store.loose import LooseStore
 from repro.store.segments import (
@@ -658,51 +657,49 @@ def test_open_store_detects_each_layout(tmp_path):
 
 
 def test_legacy_loose_store_reads_through_unified_scan(tmp_path):
-    """Old on-disk sample dirs keep loading through the deprecated shim
-    and through the new interface alike."""
+    """Old on-disk sample dirs (one gmon file per interval) open as a
+    loose store and load through the unified scan."""
     series = make_series(6)
-    legacy = SampleStore(tmp_path)
+    legacy = LooseStore(tmp_path)
     for i, snap in enumerate(series):
-        legacy.save(snap, i)
+        legacy.append(str(snap.rank), i, snap)
+    assert sorted(p.name for p in tmp_path.iterdir())[0] == \
+        "gmon-r000-i00000.gmon"
     store = open_store(tmp_path)
+    assert isinstance(store, LooseStore)
     assert store.streams() == ["0"]
-    for (_i, snap), want in zip(store.scan("0"), series):
+    scanned = list(store.scan("0"))
+    assert [i for i, _snap in scanned] == list(range(6))
+    for (_i, snap), want in zip(scanned, series):
         assert_same_snapshot(snap, want)
-    with pytest.warns(DeprecationWarning):
-        loaded = legacy.load_rank(0)
-    assert len(loaded) == 6
 
 
 # ----------------------------------------------------------------------
-# lazy load_all memory regression
+# lazy scan memory regression
 # ----------------------------------------------------------------------
 def test_load_all_is_lazy_and_caps_peak_memory(tmp_path):
-    """load_all() must stream: consuming rank-by-rank, one snapshot at a
-    time, must peak far below materializing the whole store."""
-    store = SampleStore(tmp_path)
+    """A loose store's scan must stream: consuming it one snapshot at a
+    time must peak far below materializing the whole stream."""
+    store = LooseStore(tmp_path)
     series = make_series(300, funcs=80)
     for i, snap in enumerate(series):
-        store.save(snap, i)
+        store.append("0", i, snap)
 
-    with pytest.warns(DeprecationWarning):
-        lazy = store.load_all()
-    assert not isinstance(lazy[0], list)  # an iterator, not a load
+    lazy = store.scan("0")
+    assert not isinstance(lazy, list)  # an iterator, not a load
 
     tracemalloc.start()
     count = 0
-    for samples in lazy.values():
-        for snap in samples:
-            count += 1  # consume and drop — no refs kept
+    for _i, snap in lazy:
+        count += 1  # consume and drop — no refs kept
     _size, lazy_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert count == 300
 
     tracemalloc.start()
-    with pytest.warns(DeprecationWarning):
-        eager = {rank: list(samples)
-                 for rank, samples in store.load_all().items()}
+    eager = list(store.scan("0"))
     _size, eager_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert sum(len(v) for v in eager.values()) == 300
+    assert len(eager) == 300
 
     assert lazy_peak < eager_peak / 3

@@ -30,7 +30,7 @@ from repro.service import (
     publish_session,
 )
 from repro.service.exposition import parse_prometheus, render_prometheus
-from repro.service.protocol import write_message, read_message, Control
+from repro.service.protocol import Control, Hello, read_message, write_message
 from repro.util.errors import StreamConflictError, UnknownStreamError
 from repro.util.jsonlog import JsonLogger
 
@@ -206,6 +206,33 @@ def test_malformed_frame_gets_error_reply_and_connection_survives():
         while server.metrics.protocol_errors < 1 and time.monotonic() < deadline:
             time.sleep(0.01)
         assert server.metrics.protocol_errors == 1
+
+
+def test_json_snapshot_gets_error_reply_and_connection_survives():
+    """A snapshot sent as JSON is refused, not admitted: the daemon
+    answers ``ok: false`` naming binary frames and the connection keeps
+    serving."""
+    import base64
+
+    from repro.gprof.gmon import GmonData, dumps_gmon
+
+    with PhaseMonitorServer(None, make_config()) as server:
+        sock = server.endpoint.connect()
+        fh = sock.makefile("rwb")
+        write_message(fh, Hello(stream_id="s"))
+        assert read_message(fh).ok
+        gmon = base64.b64encode(dumps_gmon(GmonData(hist={"a": 1}))).decode()
+        payload = json.dumps({"v": 1, "type": "snapshot", "stream_id": "s",
+                              "seq": 0, "gmon": gmon}).encode()
+        fh.write(len(payload).to_bytes(4, "big") + payload)
+        fh.flush()
+        reply = read_message(fh)
+        assert not reply.ok and "binary frame" in reply.error
+        write_message(fh, Control(command="ping"))
+        assert read_message(fh).ok
+        fh.close()
+        sock.close()
+        assert server.registry.get("s").enqueued == 0
 
 
 def test_shutdown_via_control():
@@ -422,7 +449,6 @@ def test_non_finite_period_does_not_poison_the_stream(period):
     with PhaseMonitorServer(template, config) as server:
         with PhaseClient(server.endpoint) as client:
             client.hello("s")
-            assert client.wire_version == 2
             tracker = server.registry.get("s").tracker
             client.snapshot("s", 0, GmonBlob(bytes(first)))
             for seq, snap in enumerate(later, start=1):

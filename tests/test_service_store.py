@@ -114,8 +114,7 @@ def test_v2_ingest_builds_no_gmon_data(tmp_path, monkeypatch,
     store_dir = tmp_path / "store"
     with PhaseMonitorServer(
             template, make_config(store_dir=str(store_dir))) as server:
-        report = publish_samples(server.endpoint, "v2-r0", samples,
-                                 protocols=(1, 2))
+        report = publish_samples(server.endpoint, "v2-r0", samples)
     assert report.error == "" and report.processed == len(samples)
     assert loads == []
 
@@ -147,7 +146,6 @@ def test_server_archives_only_what_it_differenced(tmp_path):
             template, make_config(store_dir=str(store_dir))) as server:
         with PhaseClient(server.endpoint) as client:
             client.hello("s")
-            assert client.wire_version == 2
             for seq in range(10):
                 snap = GmonData(sample_period=0.02 if seq == 4 else 0.01,
                                 hist={"a": 100 * (seq + 1), "b": 50 * seq},

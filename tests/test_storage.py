@@ -1,16 +1,14 @@
 """Loose sample-file naming and loading (the unified storage surface).
 
-The legacy :class:`SampleStore` wrappers are exercised only in the
-deprecation section at the bottom; everything else goes through the
-:class:`IntervalStore` primitives (``append``/``scan``/``streams``).
+Everything goes through the :class:`IntervalStore` primitives
+(``append``/``scan``/``streams``).
 """
 
 import pytest
 
 from repro.gprof.gmon import GmonData
-from repro.incprof.storage import SampleFileError, SampleStore
 from repro.store.loose import LooseStore
-from repro.util.errors import CollectorError, FormatError
+from repro.util.errors import CollectorError, FormatError, SampleFileError
 
 
 def snap(rank: int, ticks: int, t: float) -> GmonData:
@@ -160,61 +158,6 @@ def test_interrupted_append_preserves_previous_sample(tmp_path, monkeypatch):
 
 
 def test_sample_file_error_importable_from_errors_module(tmp_path):
-    """SampleFileError moved under the shared FormatError branch in
-    repro.util.errors; the storage-module import keeps working."""
-    from repro.util.errors import SampleFileError as canonical
-
-    assert SampleFileError is canonical
+    """SampleFileError sits under the shared FormatError branch in
+    repro.util.errors, next to the other artifact-format errors."""
     assert issubclass(SampleFileError, FormatError)
-
-
-# ----------------------------------------------------------------------
-# the deprecated SampleStore shim
-# ----------------------------------------------------------------------
-def test_shim_save_writes_the_loose_layout_without_warning(tmp_path):
-    # save() is the one legacy method collectors still call per
-    # interval, so it stays warning-free by design.
-    import warnings
-
-    store = SampleStore(tmp_path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        path = store.save(snap(0, 10, 1.0), 0)
-    assert path.name == "gmon-r000-i00000.gmon" and path.exists()
-
-
-def test_shim_load_methods_warn_and_match_scan(tmp_path):
-    store = SampleStore(tmp_path)
-    for i in range(3):
-        store.save(snap(0, 10 * (i + 1), float(i)), i)
-    store.save(snap(2, 1, 1.0), 0)
-    via_scan = [s.hist["f"] for _, s in store.scan("0")]
-    with pytest.warns(DeprecationWarning, match="load_rank is deprecated"):
-        assert [s.hist["f"] for s in store.load_rank(0)] == via_scan
-    with pytest.warns(DeprecationWarning, match="ranks is deprecated"):
-        assert store.ranks() == [0, 2]
-    with pytest.warns(DeprecationWarning,
-                      match="load_rank_since is deprecated"):
-        assert [i for i, _ in store.load_rank_since(0, after_index=0)] == [1, 2]
-    with pytest.warns(DeprecationWarning, match="load_all is deprecated"):
-        everything = store.load_all()
-    assert sorted(everything) == [0, 2]
-    assert [s.hist["f"] for s in everything[0]] == via_scan
-
-
-def test_shim_load_all_scans_directory_once(tmp_path, monkeypatch):
-    store = SampleStore(tmp_path)
-    for rank in range(5):
-        store.save(snap(rank, 1, 1.0), 0)
-    calls = {"n": 0}
-    original = SampleStore._scan
-
-    def counting_scan(self):
-        calls["n"] += 1
-        return original(self)
-
-    monkeypatch.setattr(SampleStore, "_scan", counting_scan)
-    with pytest.warns(DeprecationWarning):
-        everything = store.load_all()
-    assert len(everything) == 5
-    assert calls["n"] == 1

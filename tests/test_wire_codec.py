@@ -1,9 +1,9 @@
-"""Protocol v2 binary codec: golden bytes, negotiation, fuzz, acks.
+"""The binary frame: golden bytes, fuzz, acks, and the one wire path.
 
-The JSON v1 codec's round-trips and framing errors live in
+The JSON messages' round-trips and framing errors live in
 ``test_service_protocol.py``; this module pins the *binary* wire format
-(a struct-packed header carrying raw gmon bytes) and the version
-negotiation that keeps v1 and v2 peers interoperable on one port.
+(a struct-packed header carrying raw gmon bytes) that every snapshot
+and every packable snapshot ack travels as.
 """
 
 import random
@@ -15,21 +15,16 @@ from repro.gprof.gmon import GmonBlob, GmonData, dumps_gmon
 from repro.service.protocol import (
     BINARY_CODEC,
     BINARY_MAGIC,
-    BINARY_PROTOCOL_VERSION,
     JSON_CODEC,
     MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    SUPPORTED_PROTOCOLS,
     Endpoint,
     FrameReader,
     Hello,
     Reply,
     SnapshotMsg,
     binary_envelope,
-    codec_for,
     decode_message,
     encode_message,
-    negotiate,
 )
 from repro.util.errors import ProtocolError
 
@@ -67,7 +62,16 @@ GOLDEN_V2_FRAME = bytes.fromhex(
 
 
 def test_golden_v2_frame_bytes_pinned():
+    assert encode_message(snapshot_msg()) == GOLDEN_V2_FRAME
+
+
+def test_encode_message_writes_only_the_binary_frame_version():
+    # ``version`` stays accepted for callers that spell the wire out;
+    # 2 is the one version this build writes.
     assert encode_message(snapshot_msg(), version=2) == GOLDEN_V2_FRAME
+    for version in (1, 3):
+        with pytest.raises(ProtocolError, match=f"version {version}"):
+            encode_message(snapshot_msg(), version=version)
 
 
 def test_golden_v2_frame_decodes_back():
@@ -89,7 +93,7 @@ def test_blob_and_parsed_gmon_encode_identically():
     blob = SnapshotMsg(stream_id="node-7", seq=42,
                        gmon=GmonBlob(dumps_gmon(gmon())),
                        trace_id="0123456789abcdef")
-    assert encode_message(blob, version=2) == GOLDEN_V2_FRAME
+    assert encode_message(blob) == GOLDEN_V2_FRAME
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +177,7 @@ def test_oversized_snapshot_fails_on_encode():
     msg = SnapshotMsg(stream_id="s", seq=0,
                       gmon=GmonBlob(b"\x00" * (MAX_FRAME_BYTES + 1)))
     with pytest.raises(ProtocolError, match="exceeds"):
-        encode_message(msg, version=2)
+        encode_message(msg)
 
 
 def test_seq_must_fit_u64():
@@ -244,7 +248,7 @@ def test_every_outcome_roundtrips():
                             else "backpressure"})
         # decode_message dispatches per frame: packed acks and the
         # JSON fallback (an empty ``code`` is inexpressible) both land.
-        decoded = decode_message(encode_message(reply, version=2))
+        decoded = decode_message(encode_message(reply))
         # JSON-side normalization drops empty optional fields the same way.
         assert decoded.ok == reply.ok
         assert decoded.error == reply.error
@@ -293,46 +297,6 @@ def test_ack_fuzz_never_escapes_protocol_error():
 
 
 # ----------------------------------------------------------------------
-# negotiation
-# ----------------------------------------------------------------------
-def test_negotiate_picks_highest_common():
-    assert negotiate((1, 2), (1, 2)) == 2
-    assert negotiate((1,), (1, 2)) == 1
-    assert negotiate((1, 2), (1,)) == 1
-    assert negotiate((2,), (1, 2)) == 2
-
-
-def test_negotiate_disjoint_falls_back_to_v1():
-    # A peer from the future still speaks the v1 floor.
-    assert negotiate((3, 4), SUPPORTED_PROTOCOLS) == PROTOCOL_VERSION
-    assert negotiate((), SUPPORTED_PROTOCOLS) == PROTOCOL_VERSION
-
-
-def test_codec_registry_rejects_unknown_version():
-    assert codec_for(1) is JSON_CODEC
-    assert codec_for(2) is BINARY_CODEC
-    with pytest.raises(ProtocolError, match="unsupported protocol"):
-        codec_for(3)
-
-
-def test_hello_carries_offered_protocols():
-    msg = decode_message(encode_message(
-        Hello(stream_id="s", protocols=(1, 2))))
-    assert msg.protocols == (1, 2)
-
-
-def test_v1_encoded_hello_still_decodes_without_protocols():
-    # A PR-1-era peer sends hellos with no protocols field at all.
-    import json as _json
-    from repro.service.protocol import frame_bytes, message_to_obj
-    obj = message_to_obj(Hello(stream_id="s"))
-    del obj["protocols"]
-    frame = frame_bytes(_json.dumps(obj).encode("utf-8"))
-    msg = decode_message(frame)
-    assert msg.protocols == (PROTOCOL_VERSION,)
-
-
-# ----------------------------------------------------------------------
 # envelope peek (router forward path)
 # ----------------------------------------------------------------------
 def test_binary_envelope_peeks_without_gmon_decode():
@@ -344,7 +308,7 @@ def test_binary_envelope_peeks_without_gmon_decode():
 
 
 def test_binary_envelope_ignores_json_payloads():
-    assert binary_envelope(JSON_CODEC.encode(snapshot_msg())) is None
+    assert binary_envelope(JSON_CODEC.encode(Hello(stream_id="node-7"))) is None
     assert binary_envelope(b"") is None
 
 
@@ -360,8 +324,8 @@ class _FakeSock:
 
 
 def test_frame_reader_reads_split_and_coalesced_frames():
-    f1 = encode_message(snapshot_msg(1), version=2)
-    f2 = encode_message(snapshot_msg(2), version=2)
+    f1 = encode_message(snapshot_msg(1))
+    f2 = encode_message(snapshot_msg(2))
     blob = f1 + f2
     reader = FrameReader(_FakeSock([blob[:5], blob[5:]]))
     assert BINARY_CODEC.decode(reader.read_frame()).seq == 1
@@ -374,14 +338,14 @@ def test_frame_reader_reads_split_and_coalesced_frames():
 
 
 def test_frame_reader_mid_frame_eof_is_protocol_error():
-    frame = encode_message(snapshot_msg(), version=2)
+    frame = encode_message(snapshot_msg())
     reader = FrameReader(_FakeSock([frame[:10]]))
     with pytest.raises(ProtocolError, match="mid-frame"):
         reader.read_frame()
 
 
 def test_frame_reader_oversized_length_rejected_before_buffering():
-    good = encode_message(snapshot_msg(), version=2)
+    good = encode_message(snapshot_msg())
     evil_prefix = struct.pack(">I", MAX_FRAME_BYTES + 1)
     reader = FrameReader(_FakeSock([good + evil_prefix]))
     assert BINARY_CODEC.decode(reader.read_frame()).seq == 42
@@ -394,9 +358,9 @@ def test_frame_reader_oversized_length_rejected_before_buffering():
 
 
 # ----------------------------------------------------------------------
-# end-to-end negotiation matrix (live server)
+# the one wire path, end to end (live server)
 # ----------------------------------------------------------------------
-def _server(max_protocol: int = BINARY_PROTOCOL_VERSION):
+def _server():
     from repro.core.online import OnlinePhaseTracker
     from repro.core.pipeline import AnalysisConfig, analyze_snapshots
     from repro.service.client import SyntheticLoadGenerator
@@ -406,48 +370,18 @@ def _server(max_protocol: int = BINARY_PROTOCOL_VERSION):
     template = OnlinePhaseTracker.from_analysis(
         analyze_snapshots(gen.stream(0, 16), AnalysisConfig(kmax=3)))
     config = ServerConfig(endpoint=Endpoint.tcp("127.0.0.1", 0),
-                          log_level="error", max_protocol=max_protocol)
+                          log_level="error")
     return PhaseMonitorServer(template, config), gen
 
 
 @pytest.mark.socket
-@pytest.mark.parametrize(
-    "client_protocols,server_max,expected",
-    [
-        ((1, 2), 2, 2),   # both v2-capable: binary
-        ((1,), 2, 1),     # v1-only client vs v2 server: JSON
-        ((1, 2), 1, 1),   # v2 client vs v1-pinned server: JSON
-        ((2,), 2, 2),     # a client that only offers v2 still lands it
-    ])
-def test_negotiation_matrix_end_to_end(client_protocols, server_max,
-                                       expected):
-    from repro.service.client import PhaseClient
-
-    server, gen = _server(max_protocol=server_max)
-    samples = gen.stream(1, 3)
-    with server:
-        with PhaseClient(server.endpoint,
-                         protocols=client_protocols) as client:
-            reply = client.hello("nego")
-            assert reply.ok
-            assert int(reply.data["protocol"]) == expected
-            assert client.wire_version == expected
-            # The negotiated codec carries real traffic either way.
-            for seq, snap in enumerate(samples):
-                ack = client.snapshot("nego", seq, snap)
-                assert ack.ok and ack.data["outcome"] == "accepted"
-            assert client.bye("nego").ok
-
-
-@pytest.mark.socket
-@pytest.mark.parametrize("protocols", [(1,), (1, 2)])
-def test_duplicate_ack_semantics_identical_across_codecs(protocols):
+def test_duplicate_snapshot_ack_semantics():
     from repro.service.client import PhaseClient
 
     server, gen = _server()
     snap = gen.stream(1, 1)[0]
     with server:
-        with PhaseClient(server.endpoint, protocols=protocols) as client:
+        with PhaseClient(server.endpoint) as client:
             client.hello("dup")
             first = client.snapshot("dup", 0, snap)
             again = client.snapshot("dup", 0, snap)
@@ -457,20 +391,23 @@ def test_duplicate_ack_semantics_identical_across_codecs(protocols):
 
 
 @pytest.mark.socket
-def test_burst_pipelined_v2_matches_single_shot_v1():
-    from repro.service.client import publish_samples
+def test_burst_pipelined_matches_single_shot():
+    from repro.service.client import PhaseClient, publish_samples
 
     server, gen = _server()
     samples = gen.stream(2, 40)
     with server:
-        single = publish_samples(server.endpoint, "lane-v1", samples,
-                                 protocols=(1,), pipeline=1)
-        burst = publish_samples(server.endpoint, "lane-v2", samples,
-                                protocols=(1, 2), pipeline=None)
-    for report in (single, burst):
-        assert report.error == "" and report.drained
-        assert report.accepted == len(samples) and report.rejected == 0
-    # Equal correctness: the wire format and submission shape must not
-    # change what the daemon concludes about the stream.
-    assert single.phase_sequence == burst.phase_sequence
-    assert single.processed == burst.processed == len(samples)
+        burst = publish_samples(server.endpoint, "lane-burst", samples)
+        with PhaseClient(server.endpoint) as client:
+            client.hello("lane-single")
+            acks = [client.snapshot("lane-single", seq, snap)
+                    for seq, snap in enumerate(samples)]
+            bye = client.bye("lane-single")
+    assert burst.error == "" and burst.drained
+    assert burst.accepted == len(samples) and burst.rejected == 0
+    assert all(ack.data["outcome"] == "accepted" for ack in acks)
+    assert bye.data["drained"]
+    # Equal correctness: submitting a window at a time must not change
+    # what the daemon concludes about the stream.
+    assert burst.phase_sequence == bye.data["phase_sequence"]
+    assert burst.processed == bye.data["processed"] == len(samples)

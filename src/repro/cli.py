@@ -10,7 +10,7 @@ Subcommands mirror the tool's workflow:
   print the paper-style table;
 - ``incprof figure --app miniamr`` — print the heartbeat figure;
 - ``incprof table1`` — regenerate Table I across all apps;
-- ``incprof apps`` — list workloads;
+- ``incprof list-apps`` — list workloads;
 - ``incprof compact samples/`` — run retention compaction + artifact GC
   on an interval store;
 - ``incprof replay samples/ --t0 10 --t1 60`` — time-travel: re-drive a
@@ -22,6 +22,10 @@ Subcommands mirror the tool's workflow:
 - ``incprof fleet-status --to HOST:PORT`` — query a daemon's fleet view;
 - ``incprof metrics --to HOST:PORT`` — scrape Prometheus text metrics;
 - ``incprof top --to HOST:PORT`` — live terminal view of daemon health.
+
+Parsing loads nothing of ``repro``: each verb imports the layers it
+drives when it runs, so a fleet worker (``python -m repro serve``) loads
+only the daemon and ``incprof analyze`` loads no service code.
 """
 
 from __future__ import annotations
@@ -30,20 +34,15 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.apps import describe_apps, get_app, is_known_app, paper_app_names
-from repro.core.pipeline import AnalysisConfig, analyze_snapshots
-from repro.core.report import render_full_report
-from repro.eval.experiments import run_experiment, run_experiments
-from repro.eval.figures import heartbeat_figure
-from repro.eval.tables import app_sites_table, comparison_table, table1, table1_comparison
-from repro.incprof.session import DEFAULT_SEED, Session, SessionConfig
-from repro.store.segments import open_store
+#: ``repro.incprof.session.DEFAULT_SEED``, repeated so that parsing
+#: imports no session code (tests/test_cli.py pins the two equal).
+_DEFAULT_SEED = 111
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=1.0,
                         help="workload scale (1.0 = paper-sized run)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="experiment seed")
+    parser.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="experiment seed")
     parser.add_argument("--interval", type=float, default=1.0,
                         help="IncProf collection interval in seconds")
 
@@ -60,6 +59,8 @@ def _app_arg(value: str) -> str:
     Unlike a static ``choices=`` list this accepts parameterized
     addresses like ``scenario:seed=42,tier=hard``.
     """
+    from repro.apps import get_app, is_known_app
+
     if not is_known_app(value):
         raise argparse.ArgumentTypeError(
             f"unknown app {value!r} (see 'incprof list-apps')")
@@ -73,8 +74,27 @@ def _app_arg(value: str) -> str:
     return value
 
 
+def _paper_app(value: str) -> str:
+    """argparse type: one of the paper's five evaluation apps."""
+    from repro.apps import paper_app_names
+
+    names = paper_app_names()
+    if value not in names:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from {', '.join(names)})")
+    return value
+
+
+def _add_paper_app(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--app", required=True, type=_paper_app, metavar="APP",
+                        help="one of the paper's five apps "
+                             "(see 'incprof list-apps --kind paper')")
+
+
 def _cmd_list_apps(args: argparse.Namespace) -> int:
     """The full registry: concrete apps and factory families."""
+    from repro.apps import describe_apps
+
     rows = describe_apps()
     if args.kind:
         rows = [r for r in rows if r["kind"] == args.kind]
@@ -177,17 +197,10 @@ def _cmd_sweep_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_apps(_args: argparse.Namespace) -> int:
-    for name in paper_app_names():
-        app = get_app(name)
-        info = app.describe()
-        live = "yes" if info["has_live_mode"] else "no"
-        print(f"{name:10s} ranks={info['default_ranks']:<3} live-mode={live} "
-              f"manual-sites={len(app.manual_sites)}")
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.apps import get_app
+    from repro.incprof.session import Session, SessionConfig
+
     app = get_app(args.app)
     config = SessionConfig(
         interval=args.interval,
@@ -214,6 +227,9 @@ def _analyze_follow(args: argparse.Namespace) -> int:
     finalizes through the batch pipeline and prints the usual report.
     """
     from repro.core.incremental import IncrementalAnalyzer
+    from repro.core.pipeline import AnalysisConfig
+    from repro.core.report import render_full_report
+    from repro.store.segments import open_store
 
     store = open_store(args.samples)
     config = AnalysisConfig(kselect_method=args.kselect,
@@ -271,6 +287,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print("error: --follow tails a single rank; drop --merge-ranks")
             return 2
         return _analyze_follow(args)
+    from repro.core.pipeline import AnalysisConfig, analyze_snapshots
+    from repro.core.report import render_full_report
+    from repro.store.segments import open_store
+
     store = open_store(args.samples)
     if args.merge_ranks:
         from repro.gprof.merge import merge_sample_series
@@ -296,6 +316,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.eval.experiments import run_experiment
+    from repro.eval.tables import app_sites_table, comparison_table
+
     result = run_experiment(args.app, scale=args.scale, seed=args.seed,
                             interval=args.interval, workers=args.workers)
     print(app_sites_table(result).render())
@@ -334,6 +357,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_live(args: argparse.Namespace) -> int:
     """Profile an app's *real* NumPy kernels with the live tracer."""
+    from repro.apps import get_app
+    from repro.core.pipeline import AnalysisConfig, analyze_snapshots
+    from repro.core.report import render_full_report
     from repro.gprof.flatprofile import FlatProfile
     from repro.incprof.collector import LiveCollector
     from repro.profiler.tracing import TracingProfiler, names_filter
@@ -363,6 +389,8 @@ def _cmd_live(args: argparse.Namespace) -> int:
 
 def _cmd_live_script(args: argparse.Namespace) -> int:
     """Profile an arbitrary Python script (the preload-library analogue)."""
+    from repro.core.pipeline import AnalysisConfig, analyze_snapshots
+    from repro.core.report import render_full_report
     from repro.gprof.flatprofile import FlatProfile
     from repro.incprof.script_runner import profile_script
 
@@ -385,6 +413,9 @@ def _cmd_live_script(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.eval.experiments import run_experiment
+    from repro.eval.figures import heartbeat_figure
+
     result = run_experiment(args.app, scale=args.scale, seed=args.seed,
                             interval=args.interval)
     print(heartbeat_figure(result).render())
@@ -407,7 +438,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 def _cmd_compact(args: argparse.Namespace) -> int:
     """Run retention compaction (and artifact GC) on an interval store."""
-    from repro.store.segments import SegmentStore
+    from repro.store.segments import SegmentStore, open_store
     from repro.util.errors import ReproError
 
     try:
@@ -449,6 +480,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     """Time-travel: re-drive a recorded window through the live engine."""
     from repro.core.incremental import DriftConfig
+    from repro.store.segments import open_store
     from repro.util.errors import ReproError
 
     try:
@@ -515,12 +547,18 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _train_template(args: argparse.Namespace):
     """Train the serving tracker: from a sample directory or a fresh run."""
     from repro.core.online import OnlinePhaseTracker
+    from repro.core.pipeline import analyze_snapshots
 
     if args.samples:
+        from repro.store.segments import open_store
+
         store = open_store(args.samples)
         snapshots = [snap for _i, snap in store.scan(str(args.rank))]
         label = f"samples {args.samples} (rank {args.rank})"
     else:
+        from repro.apps import get_app
+        from repro.incprof.session import Session, SessionConfig
+
         app = get_app(args.app)
         config = SessionConfig(interval=args.interval, ranks=1, seed=args.seed,
                                scale=args.scale)
@@ -608,6 +646,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _serve_selftest(args: argparse.Namespace) -> int:
     """In-process smoke test: daemon + synthetic publishers + assertions."""
     from repro.core.online import OnlinePhaseTracker
+    from repro.core.pipeline import AnalysisConfig, analyze_snapshots
     from repro.service import (
         Endpoint,
         PhaseMonitorServer,
@@ -722,6 +761,7 @@ def _serve_fleet_selftest(args: argparse.Namespace) -> int:
     from repro.apps.generator import generate_scenario, scenario_snapshots
     from repro.apps.spec import concat_specs
     from repro.core.model_io import save_model
+    from repro.core.pipeline import AnalysisConfig, analyze_snapshots
     from repro.fleet import FleetConfig, FleetRouter, RouterConfig, WorkerSupervisor
     from repro.service import Endpoint, RetryPolicy, ScenarioLoadGenerator
 
@@ -841,6 +881,7 @@ def _serve_fleet_analytics_selftest(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.core.model_io import save_model
+    from repro.core.pipeline import AnalysisConfig, analyze_snapshots
     from repro.fleet import FleetConfig, FleetRouter, RouterConfig, WorkerSupervisor
     from repro.fleet.analytics import analyze_fleet_dir
     from repro.service import (
@@ -946,6 +987,8 @@ def _serve_fleet_analytics_selftest(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
+    from repro.apps import get_app
+    from repro.incprof.session import Session, SessionConfig
     from repro.service import Endpoint, RetryPolicy, publish_session
     from repro.util.errors import ReproError
 
@@ -1167,6 +1210,10 @@ def _cmd_report_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.apps import paper_app_names
+    from repro.eval.experiments import run_experiments
+    from repro.eval.tables import table1, table1_comparison
+
     results = run_experiments(paper_app_names(), scale=args.scale,
                               seed=args.seed, workers=args.workers)
     print(table1(results).render())
@@ -1181,8 +1228,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="IncProf reproduction: phase identification for HPC workloads",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("apps", help="list available workloads").set_defaults(func=_cmd_apps)
 
     p_la = sub.add_parser("list-apps",
                           help="list the full registry: name, kind, "
@@ -1273,7 +1318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=_cmd_analyze)
 
     p_rep = sub.add_parser("report", help="full experiment + paper-style table")
-    p_rep.add_argument("--app", required=True, choices=paper_app_names())
+    _add_paper_app(p_rep)
     p_rep.add_argument("--lift", action="store_true",
                        help="suggest call-graph lifts for discovered sites")
     p_rep.add_argument("--merge", action="store_true",
@@ -1283,14 +1328,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=_cmd_report)
 
     p_live = sub.add_parser("live", help="profile the app's real kernels live")
-    p_live.add_argument("--app", required=True, choices=paper_app_names())
+    _add_paper_app(p_live)
     p_live.add_argument("--scale", type=float, default=1.0)
     p_live.add_argument("--interval", type=float, default=0.25)
-    p_live.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_live.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     p_live.set_defaults(func=_cmd_live)
 
     p_fig = sub.add_parser("figure", help="regenerate an app's heartbeat figure")
-    p_fig.add_argument("--app", required=True, choices=paper_app_names())
+    _add_paper_app(p_fig)
     _add_common(p_fig)
     p_fig.set_defaults(func=_cmd_figure)
 

@@ -19,7 +19,6 @@ from repro.gprof.callgraph import CallGraphProfile
 from repro.util.errors import ValidationError
 
 SOURCES = ("self_time", "self_plus_calls", "calls", "self_plus_children")
-NORMALIZATIONS = (None, "l2", "minmax", "zscore")
 
 
 @dataclass(frozen=True)
@@ -33,18 +32,13 @@ class FeatureConfig:
       - ``calls`` — call counts only;
       - ``self_plus_children`` — self time plus per-interval propagated
         children time (requires interval gmon deltas).
-
-    ``normalize``: optional per-column scaling applied after assembly.
     """
 
     source: str = "self_time"
-    normalize: str = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.source not in SOURCES:
             raise ValidationError(f"unknown feature source {self.source!r}")
-        if self.normalize not in NORMALIZATIONS:
-            raise ValidationError(f"unknown normalization {self.normalize!r}")
 
 
 def _children_matrix(data: IntervalData) -> np.ndarray:
@@ -59,26 +53,6 @@ def _children_matrix(data: IntervalData) -> np.ndarray:
             if j is not None:
                 out[i, j] = entry.children_seconds
     return out
-
-
-def _normalize(matrix: np.ndarray, how: str) -> np.ndarray:
-    if how is None:
-        return matrix
-    if how == "l2":
-        norms = np.linalg.norm(matrix, axis=0)
-        norms[norms == 0] = 1.0
-        return matrix / norms
-    if how == "minmax":
-        lo = matrix.min(axis=0)
-        span = matrix.max(axis=0) - lo
-        span[span == 0] = 1.0
-        return (matrix - lo) / span
-    if how == "zscore":
-        mean = matrix.mean(axis=0)
-        std = matrix.std(axis=0)
-        std[std == 0] = 1.0
-        return (matrix - mean) / std
-    raise ValidationError(f"unknown normalization {how!r}")
 
 
 def build_features(data: IntervalData, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
@@ -98,7 +72,7 @@ def build_features(data: IntervalData, config: FeatureConfig = FeatureConfig()) 
         matrix = np.hstack([data.self_time, _children_matrix(data)])
     else:  # pragma: no cover - guarded by FeatureConfig
         raise ValidationError(config.source)
-    return _normalize(matrix, config.normalize)
+    return matrix
 
 
 def feature_names(data: IntervalData, config: FeatureConfig = FeatureConfig()) -> List[str]:

@@ -524,11 +524,3 @@ class FleetRouter:
                          error=f"{command!r} is a worker control; the "
                                "router owns the ring")
         return Reply(ok=False, error=f"unknown control command {command!r}")
-
-
-def serve_fleet(supervisor: WorkerSupervisor,
-                config: RouterConfig = RouterConfig()) -> FleetRouter:
-    """Start a router over an already-started fleet; caller owns stop()."""
-    router = FleetRouter(supervisor, config)
-    router.start()
-    return router

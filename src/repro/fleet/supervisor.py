@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.fleet.ring import DEFAULT_VIRTUAL_NODES, HashRing
+from repro.fleet.ring import HashRing
 from repro.service.checkpoint import (
     CheckpointManager,
     FleetManifest,
@@ -56,6 +56,8 @@ from repro.util.jsonlog import JsonLogger
 #: not waited on.
 _LINK_RETRY = RetryPolicy(max_attempts=2, base_delay=0.05, max_delay=0.2,
                           request_timeout=10.0, connect_timeout=2.0)
+#: How long one worker may take to come up before start() fails.
+STARTUP_TIMEOUT = 20.0
 
 
 @dataclass(frozen=True)
@@ -74,15 +76,10 @@ class FleetConfig:
     checkpoint_interval: float = 0.5
     #: Liveness probe cadence for the monitor thread.
     ping_interval: float = 0.5
-    #: How long one worker may take to come up before start() fails.
-    startup_timeout: float = 20.0
     #: Revivals under the same identity before the worker is evicted
     #: from the ring (0 = evict on first death).
     max_restarts: int = 1
-    virtual_nodes: int = DEFAULT_VIRTUAL_NODES
     log_level: str = "warning"
-    refit_interval: Optional[float] = None
-    refit_drift_threshold: float = 0.3
     #: Per-worker interval archives: each worker appends every
     #: classified snapshot into its own tiered segment store under
     #: ``worker-<id>/store`` (shared-nothing, like checkpoints), so any
@@ -93,8 +90,6 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValidationError("need at least one worker")
-        if self.startup_timeout <= 0:
-            raise ValidationError("startup timeout must be positive")
         if self.max_restarts < 0:
             raise ValidationError("max restarts must be non-negative")
         if self.ping_interval <= 0:
@@ -129,7 +124,7 @@ class WorkerSupervisor:
         self.log = (logger if logger is not None
                     else JsonLogger("fleet-supervisor",
                                     level=config.log_level))
-        self.ring = HashRing(virtual_nodes=config.virtual_nodes)
+        self.ring = HashRing()
         self.manifest = FleetManifest(self.root)
         self.workers: Dict[str, WorkerHandle] = {}
         self._links: Dict[str, PhaseClient] = {}
@@ -231,10 +226,6 @@ class WorkerSupervisor:
             cmd += ["--store-dir", str(handle.store_dir)]
         if cfg.model_path:
             cmd += ["--model", cfg.model_path]
-        if cfg.refit_interval is not None:
-            cmd += ["--refit-interval", str(cfg.refit_interval),
-                    "--refit-drift-threshold",
-                    str(cfg.refit_drift_threshold)]
         return cmd
 
     def _spawn(self, handle: WorkerHandle) -> None:
@@ -260,7 +251,7 @@ class WorkerSupervisor:
 
     def _wait_ready(self, handle: WorkerHandle) -> None:
         """Block until the worker answers a ping (or startup times out)."""
-        deadline = time.monotonic() + self.config.startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT
         last = "no attempt"
         while time.monotonic() < deadline:
             if not handle.process_alive():
@@ -278,7 +269,7 @@ class WorkerSupervisor:
             time.sleep(0.05)
         raise ServiceError(
             f"worker {handle.worker_id!r} not ready after "
-            f"{self.config.startup_timeout:g}s: {last}")
+            f"{STARTUP_TIMEOUT:g}s: {last}")
 
     # ------------------------------------------------------------------
     # control links

@@ -722,34 +722,49 @@ def publish_session(
     """Stream every rank of a :class:`~repro.incprof.session.SessionResult`
     through the service concurrently (one connection + thread per rank)."""
     prefix = stream_prefix or f"{result.app_name}"
-    reports: Dict[str, PublishReport] = {}
-    reports_lock = threading.Lock()
 
-    def one_rank(rank_result) -> None:
-        stream_id = f"{prefix}-r{rank_result.rank}"
+    def one_rank(index: int, stream_id: str) -> PublishReport:
+        rank_result = result.per_rank[index]
+        return publish_samples(
+            endpoint,
+            stream_id,
+            rank_result.samples,
+            app=result.app_name,
+            rank=rank_result.rank,
+            heartbeat_records=(rank_result.heartbeat_records
+                               if include_heartbeats else ()),
+            delay=delay,
+            retry=retry,
+        )
+
+    return _publish_concurrently(
+        [f"{prefix}-r{rr.rank}" for rr in result.per_rank], one_rank)
+
+
+def _publish_concurrently(
+    stream_ids: Sequence[str],
+    publish: Callable[[int, str], PublishReport],
+) -> Dict[str, PublishReport]:
+    """Run ``publish(index, stream_id)`` for every stream at once, one
+    thread each, and collect the reports by stream id.
+
+    A publisher thread must not die silently: a failure (unreachable
+    daemon, dropped connection) becomes that stream's report error.
+    """
+    reports: Dict[str, PublishReport] = {}
+    lock = threading.Lock()
+
+    def one(index: int, stream_id: str) -> None:
         try:
-            report = publish_samples(
-                endpoint,
-                stream_id,
-                rank_result.samples,
-                app=result.app_name,
-                rank=rank_result.rank,
-                heartbeat_records=(rank_result.heartbeat_records
-                                   if include_heartbeats else ()),
-                delay=delay,
-                retry=retry,
-            )
+            report = publish(index, stream_id)
         except (ReproError, OSError) as exc:
-            # A publisher thread must not die silently: surface the
-            # failure (unreachable daemon, dropped connection) in its
-            # report instead.
             report = PublishReport(stream_id=stream_id, error=str(exc))
-        with reports_lock:
+        with lock:
             reports[stream_id] = report
 
-    threads = [threading.Thread(target=one_rank, args=(rr,),
-                                name=f"publish-{prefix}-r{rr.rank}")
-               for rr in result.per_rank]
+    threads = [threading.Thread(target=one, args=(i, stream_id),
+                                name=f"publish-{stream_id}")
+               for i, stream_id in enumerate(stream_ids)]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -767,6 +782,20 @@ class LoadResult:
     processed: int
     rejected: int
     dropped_oldest: int
+
+    @classmethod
+    def from_reports(cls, reports: Dict[str, PublishReport],
+                     elapsed: float) -> "LoadResult":
+        """Sum the per-stream reports of one run."""
+        rows = reports.values()
+        return cls(
+            streams=reports,
+            elapsed=elapsed,
+            sent=sum(r.sent for r in rows),
+            processed=sum(r.processed for r in rows),
+            rejected=sum(r.rejected for r in rows),
+            dropped_oldest=sum(r.dropped_oldest for r in rows),
+        )
 
     @property
     def throughput(self) -> float:
@@ -831,37 +860,16 @@ class SyntheticLoadGenerator:
         retry: Optional[RetryPolicy] = None,
     ) -> LoadResult:
         """Publish ``n_streams`` concurrent synthetic streams; aggregate."""
-        reports: Dict[str, PublishReport] = {}
-        lock = threading.Lock()
-
-        def one(i: int) -> None:
-            stream_id = f"{stream_prefix}-{i}"
-            try:
-                report = publish_samples(endpoint, stream_id,
-                                         self.stream(i, n_intervals),
-                                         app="synthetic-load", rank=i,
-                                         delay=delay, retry=retry)
-            except (ReproError, OSError) as exc:
-                report = PublishReport(stream_id=stream_id, error=str(exc))
-            with lock:
-                reports[stream_id] = report
+        def one(i: int, stream_id: str) -> PublishReport:
+            return publish_samples(endpoint, stream_id,
+                                   self.stream(i, n_intervals),
+                                   app="synthetic-load", rank=i,
+                                   delay=delay, retry=retry)
 
         start = time.monotonic()
-        threads = [threading.Thread(target=one, args=(i,), name=f"load-{i}")
-                   for i in range(n_streams)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.monotonic() - start
-        return LoadResult(
-            streams=reports,
-            elapsed=elapsed,
-            sent=sum(r.sent for r in reports.values()),
-            processed=sum(r.processed for r in reports.values()),
-            rejected=sum(r.rejected for r in reports.values()),
-            dropped_oldest=sum(r.dropped_oldest for r in reports.values()),
-        )
+        reports = _publish_concurrently(
+            [f"{stream_prefix}-{i}" for i in range(n_streams)], one)
+        return LoadResult.from_reports(reports, time.monotonic() - start)
 
 
 class ScenarioLoadGenerator:
@@ -907,38 +915,16 @@ class ScenarioLoadGenerator:
         retry: Optional[RetryPolicy] = None,
     ) -> LoadResult:
         """Publish ``(stream_id, shape_index)`` streams concurrently."""
-        reports: Dict[str, PublishReport] = {}
-        lock = threading.Lock()
-
-        def one(index: int, stream_id: str, shape: int) -> None:
+        def one(index: int, stream_id: str) -> PublishReport:
+            shape = streams[index][1]
             spec = self.specs[shape % len(self.specs)]
-            try:
-                report = publish_samples(
-                    endpoint, stream_id,
-                    self.stream(shape, n_intervals, rank=index),
-                    app=getattr(spec, "name", "scenario-load"), rank=index,
-                    delay=delay, retry=retry)
-            except (ReproError, OSError) as exc:
-                report = PublishReport(stream_id=stream_id, error=str(exc))
-            with lock:
-                reports[stream_id] = report
+            return publish_samples(
+                endpoint, stream_id,
+                self.stream(shape, n_intervals, rank=index),
+                app=getattr(spec, "name", "scenario-load"), rank=index,
+                delay=delay, retry=retry)
 
         start = time.monotonic()
-        threads = [
-            threading.Thread(target=one, args=(i, stream_id, shape),
-                             name=f"scenario-load-{i}")
-            for i, (stream_id, shape) in enumerate(streams)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.monotonic() - start
-        return LoadResult(
-            streams=reports,
-            elapsed=elapsed,
-            sent=sum(r.sent for r in reports.values()),
-            processed=sum(r.processed for r in reports.values()),
-            rejected=sum(r.rejected for r in reports.values()),
-            dropped_oldest=sum(r.dropped_oldest for r in reports.values()),
-        )
+        reports = _publish_concurrently(
+            [stream_id for stream_id, _shape in streams], one)
+        return LoadResult.from_reports(reports, time.monotonic() - start)

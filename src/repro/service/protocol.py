@@ -661,12 +661,6 @@ def frame_bytes(payload: Union[bytes, memoryview]) -> bytes:
     return _LEN.pack(len(payload)) + bytes(payload)
 
 
-def write_frame(stream: BinaryIO, payload: Union[bytes, memoryview]) -> None:
-    """Write one already-encoded payload with its length prefix."""
-    stream.write(frame_bytes(payload))
-    stream.flush()
-
-
 # ----------------------------------------------------------------------
 # fleet routing replies
 # ----------------------------------------------------------------------

@@ -42,7 +42,7 @@ import traceback
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from queue import Empty, Queue
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Deque, Dict, List, Optional, Tuple
 
 from repro.core.incremental import AdaptiveConfig, DriftConfig
 from repro.core.model_io import MODEL_MAGIC, MODEL_SCHEMA, pack_artifact
@@ -109,6 +109,15 @@ DROPPED_OLDEST = "dropped-oldest"
 REJECTED = "rejected"
 
 BACKPRESSURE_POLICIES = ("block", "drop-oldest", "reject")
+
+#: Versioned-artifact retention: newest N ``.ipm`` models per stream and
+#: rotated ``.ipckp`` checkpoints survive garbage collection.
+ARTIFACT_KEEP = 2
+#: Completed-trace ring size for the ``trace`` request.
+TRACE_CAPACITY = 4096
+#: A submission whose spans sum past this many seconds is logged as a
+#: structured ``slow-op`` record.
+SLOW_OP_THRESHOLD = 1.0
 
 #: One queued snapshot as the classify thread pops it: the reader's
 #: ``(seq, gmon bytes, trace_id, put_start)`` and the queue's admission
@@ -204,10 +213,11 @@ class ServerConfig:
     idle_timeout: float = 30.0
     #: Housekeeping cadence (idle expiry + LDMS sampler pulls).
     housekeeping_interval: float = 0.5
-    batch_size: int = 8
-    #: Novelty gate parameters used when spawning per-stream trackers.
-    quantile: float = 0.95
-    slack: float = 1.5
+    #: Most snapshots one classify tick drains from one stream's queue.
+    batch_size: ClassVar[int] = 8
+    #: How many ready streams one classify tick coalesces into a single
+    #: cross-stream vectorized classify call.
+    coalesce_streams: ClassVar[int] = 4
     #: Online refit: wall-clock floor between per-stream model refits
     #: (``--refit-interval``); None disables live refitting entirely.
     refit_interval: Optional[float] = None
@@ -215,8 +225,6 @@ class ServerConfig:
     #: fires (``--refit-drift-threshold``); inertia degradation uses the
     #: shared :class:`~repro.core.incremental.DriftConfig` default.
     refit_drift_threshold: float = 0.3
-    #: Refits train on this many most-recent interval profiles.
-    refit_window: int = 128
     #: Durable-state directory; None disables checkpointing entirely.
     checkpoint_dir: Optional[str] = None
     #: Seconds between checkpoint writes (a crash loses at most this much).
@@ -228,14 +236,6 @@ class ServerConfig:
     store_dir: Optional[str] = None
     #: Background store maintenance cadence (flush + compact + gc).
     store_compact_interval: float = 30.0
-    #: Versioned-artifact retention: newest N ``.ipm`` models per stream
-    #: and rotated ``.ipckp`` checkpoints survive garbage collection.
-    artifact_keep: int = 2
-    #: Completed-trace ring size for the ``trace`` request.
-    trace_capacity: int = 4096
-    #: A submission whose spans sum past this many seconds is logged as a
-    #: structured ``slow-op`` record.
-    slow_op_threshold: float = 1.0
     #: Self-instrumentation: the daemon heartbeats its own pipeline
     #: stages on this collection interval (None disables dogfooding).
     self_heartbeat_interval: Optional[float] = 1.0
@@ -257,22 +257,12 @@ class ServerConfig:
     #: Finished-stream history ring size (drop-oldest beyond this, with
     #: evictions counted in ``finished_evicted``).
     finished_capacity: int = 64
-    #: How many ready streams one classify tick coalesces into a single
-    #: cross-stream vectorized classify call.  1 restores strictly
-    #: per-stream ticks.
-    coalesce_streams: int = 4
 
     def __post_init__(self) -> None:
         if self.policy not in BACKPRESSURE_POLICIES:
             raise ValidationError(f"unknown backpressure policy {self.policy!r}")
-        if self.batch_size < 1:
-            raise ValidationError("batch size must be positive")
         if self.checkpoint_interval <= 0:
             raise ValidationError("checkpoint interval must be positive")
-        if self.trace_capacity < 1:
-            raise ValidationError("trace capacity must be positive")
-        if self.slow_op_threshold <= 0:
-            raise ValidationError("slow-op threshold must be positive")
         if (self.self_heartbeat_interval is not None
                 and self.self_heartbeat_interval <= 0):
             raise ValidationError("self-heartbeat interval must be positive")
@@ -280,28 +270,22 @@ class ServerConfig:
             raise ValidationError("refit interval must be non-negative")
         if not 0 < self.refit_drift_threshold <= 1:
             raise ValidationError("refit drift threshold must be in (0, 1]")
-        if self.refit_window < 2:
-            raise ValidationError("refit window needs at least two profiles")
         if self.finished_capacity < 1:
             raise ValidationError("finished capacity must be positive")
         if self.store_compact_interval <= 0:
             raise ValidationError("store compact interval must be positive")
-        if self.artifact_keep < 1:
-            raise ValidationError("artifact_keep must be positive")
-        if self.coalesce_streams < 1:
-            raise ValidationError("coalesce_streams must be positive")
 
     def adaptive_config(self) -> Optional[AdaptiveConfig]:
-        """The per-stream refit policy, or None when refitting is off."""
+        """The per-stream refit policy, or None when refitting is off.
+
+        Window, gate quantile and slack are :class:`AdaptiveConfig`'s
+        defaults; only the cooldown and the drift threshold are set.
+        """
         if self.refit_interval is None:
             return None
         return AdaptiveConfig(
-            window=self.refit_window,
-            min_refit_window=min(16, self.refit_window),
             drift=DriftConfig(novel_rate=self.refit_drift_threshold),
             cooldown_s=self.refit_interval,
-            quantile=self.quantile,
-            slack=self.slack,
         )
 
 
@@ -335,12 +319,12 @@ class PhaseMonitorServer:
         self.log = (logger if logger is not None
                     else JsonLogger("incprofd", level=config.log_level))
         #: Per-submission trace spans, queryable via the ``trace`` request.
-        self.traces = TraceStore(capacity=config.trace_capacity)
+        self.traces = TraceStore(capacity=TRACE_CAPACITY)
         self.checkpoints: Optional[CheckpointManager] = None
         if config.checkpoint_dir is not None:
             self.checkpoints = CheckpointManager(
                 config.checkpoint_dir, interval=config.checkpoint_interval,
-                keep_history=config.artifact_keep)
+                keep_history=ARTIFACT_KEEP)
         #: Interval archive (tiered segment store); every classified
         #: snapshot's raw bytes land here when ``store_dir`` is set.
         self.store: Optional[SegmentStore] = None
@@ -1127,24 +1111,14 @@ class PhaseMonitorServer:
                        lost_intervals=lost,
                        traceback=traceback.format_exc())
 
-    def _classify_batch(self, state: StreamState, batch: List[Entry]) -> None:
-        """Classify one drained batch of a single stream's snapshots."""
-        with state.work_lock:
-            self._classify_work_locked([(state, batch)])
-
     def _classify_many(self, work: List[Tuple[StreamState, List[Entry]]]) -> None:
         """Classify drained batches of one or more streams in one tick.
 
-        The single-stream case routes through :meth:`_classify_batch` so
-        per-instance wrappers (tests, instrumentation) keep intercepting
-        the classic path.  Holding several ``work_lock``\\ s at once is
-        deadlock-free: only the classify thread takes more than one, and
-        every other ``work_lock`` taker (the checkpointer) holds at most
-        one at a time, so no cycle can form.
+        Holding several ``work_lock``\\ s at once is deadlock-free: only
+        the classify thread takes more than one, and every other
+        ``work_lock`` taker (the checkpointer) holds at most one at a
+        time, so no cycle can form.
         """
-        if len(work) == 1:
-            self._classify_batch(work[0][0], work[0][1])
-            return
         acquired: List[StreamState] = []
         try:
             for state, _batch in work:
@@ -1257,8 +1231,7 @@ class PhaseMonitorServer:
         for (state, seq), record in zip(origins,
                                         self.traces.finish_batch(closes)):
             if (record is not None
-                    and record.total_seconds
-                    >= self.config.slow_op_threshold):
+                    and record.total_seconds >= SLOW_OP_THRESHOLD):
                 self.log.warning(
                     "slow-op", trace_id=record.trace_id,
                     stream_id=state.stream_id, seq=seq,

@@ -16,7 +16,6 @@ from repro.simulate.engine import Engine, EngineObserver, ExecutionContext, SimF
 from repro.simulate.overhead import CostModel
 from repro.simulate.noise import NoiseModel
 from repro.simulate.mpi import SimComm, RankResult
-from repro.simulate.tracelog import TraceLogger, TraceEvent
 
 __all__ = [
     "VirtualClock",
@@ -28,6 +27,4 @@ __all__ = [
     "NoiseModel",
     "SimComm",
     "RankResult",
-    "TraceLogger",
-    "TraceEvent",
 ]

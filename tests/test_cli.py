@@ -5,12 +5,6 @@ import pytest
 from repro.cli import build_parser, main
 
 
-def test_apps_command(capsys):
-    assert main(["apps"]) == 0
-    out = capsys.readouterr().out
-    assert "graph500" in out and "gadget2" in out
-
-
 def test_run_then_analyze(tmp_path, capsys):
     out_dir = str(tmp_path / "samples")
     assert main(["run", "--app", "graph500", "--out", out_dir, "--scale", "0.2"]) == 0
@@ -48,9 +42,51 @@ def test_unknown_app_rejected():
 def test_parser_has_all_subcommands():
     parser = build_parser()
     text = parser.format_help()
-    for cmd in ("apps", "run", "analyze", "report", "figure", "table1",
+    for cmd in ("list-apps", "run", "analyze", "report", "figure", "table1",
                 "serve", "submit", "fleet-status"):
         assert cmd in text
+
+
+def test_paper_app_verbs_reject_other_apps(capsys):
+    """report, figure and live take only the paper's five apps; the
+    check runs when --app is parsed, not when the parser is built."""
+    for verb in ("report", "figure", "live"):
+        assert build_parser().parse_args([verb, "--app", "gadget2"]).app == "gadget2"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([verb, "--app", "synthetic"])
+        assert "invalid choice: 'synthetic'" in capsys.readouterr().err
+
+
+def test_seed_default_is_the_session_default():
+    from repro.incprof.session import DEFAULT_SEED
+
+    assert build_parser().parse_args(["serve"]).seed == DEFAULT_SEED
+    assert build_parser().parse_args(["live", "--app", "minife"]).seed == DEFAULT_SEED
+
+
+def test_server_settings_nothing_set_are_fixed():
+    """The refit policy and classify batching that ServerConfig no
+    longer lets a caller set keep the values they had as fields."""
+    import dataclasses
+
+    from repro.service import ServerConfig
+
+    policy = ServerConfig(refit_interval=0.0).adaptive_config()
+    assert dataclasses.asdict(policy) == {
+        "window": 128, "min_refit_window": 16,
+        "drift": {"window": 32, "min_samples": 16, "novel_rate": 0.3,
+                  "inertia_factor": 2.5},
+        "cooldown_s": 0.0, "cooldown_intervals": 16, "kmax": 8,
+        "n_init": 4, "quantile": 0.95, "slack": 1.5, "seed": 0}
+    assert ServerConfig(refit_interval=0.0, refit_drift_threshold=0.2
+                        ).adaptive_config().drift.novel_rate == 0.2
+    assert ServerConfig().adaptive_config() is None
+    assert ServerConfig().batch_size == 8
+    assert ServerConfig().coalesce_streams == 4
+    for name in ("batch_size", "coalesce_streams", "refit_window",
+                 "trace_capacity", "artifact_keep"):
+        with pytest.raises(TypeError):
+            ServerConfig(**{name: 1})
 
 
 def test_serve_parser_defaults():
@@ -76,6 +112,27 @@ def test_live_command(capsys):
     out = capsys.readouterr().out
     assert "live snapshots" in out
     assert "Flat profile:" in out
+
+
+def test_live_script_command(tmp_path, capsys):
+    script = tmp_path / "two_loops.py"
+    script.write_text(
+        "import sys, time\n"
+        "def spin(seconds):\n"
+        "    end = time.perf_counter() + seconds\n"
+        "    while time.perf_counter() < end:\n"
+        "        pass\n"
+        "def hot(seconds):\n"
+        "    spin(seconds)\n"
+        "def cold(seconds):\n"
+        "    spin(seconds)\n"
+        "hot(float(sys.argv[1]))\n"
+        "cold(float(sys.argv[2]))\n")
+    assert main(["live-script", str(script), "0.3", "0.3",
+                 "--interval", "0.05"]) == 0
+    out = capsys.readouterr().out
+    assert "snapshots over" in out and "Flat profile:" in out
+    assert "Phase ID" in out
 
 
 def test_merge_command(tmp_path, capsys):
@@ -153,7 +210,7 @@ def test_serve_refit_parser_flags():
 def test_list_apps_command(capsys):
     assert main(["list-apps"]) == 0
     out = capsys.readouterr().out
-    assert "graph500" in out and "paper" in out
+    assert "graph500" in out and "gadget2" in out and "paper" in out
     assert "synthetic" in out
     assert "scenario:" in out and "generated" in out
 

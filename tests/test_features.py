@@ -75,30 +75,9 @@ def test_self_plus_children_shape():
     assert np.allclose(features[:, 2:], 0.0)
 
 
-def test_normalize_l2():
-    data = make_data()
-    features = build_features(data, FeatureConfig(normalize="l2"))
-    norms = np.linalg.norm(features, axis=0)
-    assert np.allclose(norms[norms > 0], 1.0)
-
-
-def test_normalize_minmax():
-    data = make_data()
-    features = build_features(data, FeatureConfig(normalize="minmax"))
-    assert features.min() >= 0.0 and features.max() <= 1.0
-
-
-def test_normalize_zscore():
-    data = make_data()
-    features = build_features(data, FeatureConfig(normalize="zscore"))
-    assert np.allclose(features.mean(axis=0), 0.0, atol=1e-12)
-
-
 def test_invalid_config_rejected():
     with pytest.raises(ValidationError):
         FeatureConfig(source="bogus")
-    with pytest.raises(ValidationError):
-        FeatureConfig(normalize="bogus")
 
 
 def test_feature_names_match_width():

@@ -78,6 +78,45 @@ def test_daemon_loads_no_networkx_or_http_server():
     assert "repro.service.webserver" not in loaded
 
 
+def repro_modules(loaded: set) -> set:
+    return {m for m in loaded if m == "repro" or m.startswith("repro.")}
+
+
+def test_worker_serve_loads_only_the_daemon(tmp_path):
+    """A fleet worker runs ``python -m repro serve``: the CLI must load
+    the daemon's modules and nothing else of ``repro``.  A corrupt model
+    makes serve return 1 before it binds a socket."""
+    model = tmp_path / "corrupt.ipm"
+    model.write_bytes(b"not a phase model")
+    loaded = repro_modules(loaded_after(f"""
+        import contextlib, io
+        from repro.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["serve", "--model", {str(model)!r}]) == 1
+    """))
+    daemon = repro_modules(loaded_after(
+        "import repro.core.model_io, repro.service.server"))
+    assert not {m for m in loaded if m.split(".")[1:2] in
+                (["eval"], ["apps"], ["incprof"], ["profiler"])}
+    assert loaded - daemon == {"repro.cli"}
+    parsing = repro_modules(loaded_after(
+        "import repro.cli; repro.cli.build_parser().parse_args(['serve'])"))
+    assert parsing == {"repro", "repro._lazy", "repro.cli"}
+
+
+def test_cli_analyze_loads_no_service_or_fleet(tmp_path):
+    loaded = repro_modules(loaded_after(f"""
+        from repro.cli import main
+        from repro.util.errors import ProfileDataError
+        try:
+            main(["analyze", {str(tmp_path)!r}])
+        except ProfileDataError:  # an empty directory holds no interval
+            pass
+    """))
+    assert "repro.core.pipeline" in loaded
+    assert not {m for m in loaded if m.split(".")[1:2] in (["service"], ["fleet"])}
+
+
 def test_star_import_and_every_lazy_name_resolve():
     out = run_fresh("""
         import importlib

@@ -249,13 +249,13 @@ def test_shutdown_via_control():
 def slow_server(policy: str) -> PhaseMonitorServer:
     server = PhaseMonitorServer(None, make_config(
         policy=policy, queue_capacity=2, block_timeout=10.0))
-    original = server._classify_batch
+    original = server._classify_many
 
-    def dawdling(state, batch):
-        time.sleep(0.05 * len(batch))
-        original(state, batch)
+    def dawdling(work):
+        time.sleep(0.05 * sum(len(batch) for _state, batch in work))
+        original(work)
 
-    server._classify_batch = dawdling
+    server._classify_many = dawdling
     return server
 
 

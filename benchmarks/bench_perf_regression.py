@@ -75,8 +75,15 @@ print(json.dumps(out))
 STAGES = ("differencing", "kmeans", "silhouette", "ksweep", "end_to_end")
 
 
+#: BLAS/OpenMP pools pinned to one thread in the timing subprocess, as
+#: perfbench does: on a small shared box a multi-threaded BLAS makes the
+#: silhouette and end-to-end stages read several times their pinned cost.
+BLAS_THREADS = {var: "1" for var in
+                ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
 def _run_timer(src_dir: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    env = dict(os.environ, PYTHONPATH=str(src_dir), **BLAS_THREADS)
     proc = subprocess.run(
         [sys.executable, "-c", _TIMER_SCRIPT],
         env=env, capture_output=True, text=True, check=True,

@@ -290,21 +290,26 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.core.pipeline import AnalysisConfig, analyze_snapshots
     from repro.core.report import render_full_report
     from repro.store.segments import open_store
+    from repro.util.errors import ReproError
 
-    store = open_store(args.samples)
-    if args.merge_ranks:
-        from repro.gprof.merge import merge_sample_series
+    try:
+        store = open_store(args.samples)
+        if args.merge_ranks:
+            from repro.gprof.merge import merge_sample_series
 
-        per_rank = [[snap for _i, snap in store.scan(stream)]
-                    for stream in store.streams()]
-        snapshots = merge_sample_series(per_rank)
-        label = f"{args.samples} (merged {len(per_rank)} ranks)"
-    else:
-        snapshots = [snap for _i, snap in store.scan(str(args.rank))]
-        label = args.samples
-    config = AnalysisConfig(kselect_method=args.kselect,
-                            coverage_threshold=args.coverage)
-    analysis = analyze_snapshots(snapshots, config, workers=args.workers)
+            per_rank = [[snap for _i, snap in store.scan(stream)]
+                        for stream in store.streams()]
+            snapshots = merge_sample_series(per_rank)
+            label = f"{args.samples} (merged {len(per_rank)} ranks)"
+        else:
+            snapshots = [snap for _i, snap in store.scan(str(args.rank))]
+            label = args.samples
+        config = AnalysisConfig(kselect_method=args.kselect,
+                                coverage_threshold=args.coverage)
+        analysis = analyze_snapshots(snapshots, config, workers=args.workers)
+    except ReproError as exc:
+        print(f"error: {exc}")
+        return 1
     print(render_full_report(analysis, app_name=label))
     if args.save_model:
         from repro.core.model_io import save_model
@@ -379,11 +384,14 @@ def _cmd_live(args: argparse.Namespace) -> int:
     print(f"{len(samples)} live snapshots over {profiler.elapsed:.2f}s")
     print()
     print(FlatProfile.from_gmon(samples[-1]).render())
-    if len(samples) >= 4:
-        analysis = analyze_snapshots(
-            samples, AnalysisConfig(kmax=4, drop_short_final=False)
-        )
-        print(render_full_report(analysis, app_name=f"{args.app} (live)"))
+    if len(samples) < 4:
+        print(f"no phase report: {len(samples)} live snapshot(s), the report "
+              "needs at least 4; raise --scale or lower --interval")
+        return 0
+    analysis = analyze_snapshots(
+        samples, AnalysisConfig(kmax=4, drop_short_final=False)
+    )
+    print(render_full_report(analysis, app_name=f"{args.app} (live)"))
     return 0
 
 

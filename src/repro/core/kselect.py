@@ -5,21 +5,30 @@ method, with *silhouette* evaluated as an alternative (both implemented
 here; the ablation bench compares them).  Eight was enough because no
 studied application showed more than five phases.
 
-:func:`wcss_curve` fits the whole sweep with one
-:func:`~repro.core.kmeans.kmeans_sweep` call: every restart of every k
-shares one seeding pass and one Lloyd loop.  Each k is fit under its own
-child seed spawned from one ``numpy.random.SeedSequence``, and no fit's
-bits depend on what is fitted beside it, so the per-k results do not
-depend on how the sweep is scheduled — the serial sweep, a sweep to a
-smaller kmax, a process pool fitting one k per task (``workers``) and a
-single k fitted alone all produce bit-identical clusterings.
+A sweep is a :class:`SweepResults`: a mapping over k = 1..top that fits
+each k on its first read.  A read that misses fits the whole block its k
+falls in with one :func:`~repro.core.kmeans.kmeans_sweep` call; the
+blocks are k <= ceil(top / 2) and the rest (1..4 and 5..8 for kmax 8).
+The default elbow reads WCSS in ascending k and stops at most one k past
+its choice, so :func:`choose_k` usually fits only the first block;
+:func:`wcss_curve`, the chord and silhouette selectors, the report's
+k-curve and pickling fit every k.
+
+Each k is fit under its own child seed spawned from one
+``numpy.random.SeedSequence``, and no fit's bits depend on what is
+fitted beside it, so the per-k results do not depend on how the sweep
+is scheduled — the full sweep, a sweep to a smaller kmax, one block read
+lazily, a process pool fitting one k per task (``workers``) and a single
+k fitted alone all produce bit-identical clusterings.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, ItemsView, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple, ValuesView)
 
 import numpy as np
 
@@ -43,12 +52,18 @@ _SIL_CHUNK_BUDGET = 4 * 1024 * 1024
 
 @dataclass(frozen=True)
 class KSelection:
-    """The fitted k sweep plus the chosen k."""
+    """The k sweep plus the chosen k.
+
+    ``results`` is the sweep (a :class:`SweepResults` from
+    :func:`choose_k`, whose elbow leaves the k's it never read unfitted
+    until something reads them); ``scores`` holds the per-k score the
+    method used.  Plain dicts are valid for both.
+    """
 
     method: str
     chosen_k: int
-    results: Dict[int, KMeansResult]
-    scores: Dict[int, float]  # per-k score used by the method
+    results: Mapping[int, KMeansResult]
+    scores: Mapping[int, float]
 
     @property
     def best(self) -> KMeansResult:
@@ -76,8 +91,135 @@ def spawn_seedseqs(seed: Seed, count: int) -> List[np.random.SeedSequence]:
 
 def _fit_one_k(points: np.ndarray, k: int, seedseq: np.random.SeedSequence,
                n_init: int) -> Tuple[int, KMeansResult]:
-    """One sweep task (module-level so it pickles for worker processes)."""
+    """One pool task (module-level so it pickles for worker processes)."""
     return k, kmeans(points, k, seed=seedseq, n_init=n_init)
+
+
+class SweepResults(Mapping[int, KMeansResult]):
+    """k-means fits for k = 1..min(kmax, n_points), each fit on first read.
+
+    The keys are known up front: ``len``, iteration and ``in`` fit
+    nothing.  Reading a k that is not fitted yet fits its whole block —
+    k <= ceil(top / 2), or the rest — in one
+    :func:`~repro.core.kmeans.kmeans_sweep` call.  :meth:`fill` fits
+    every missing k in one call; ``items()``, ``values()`` (and so
+    equality) and pickling go through it, and with ``workers > 1`` the
+    sweep is filled at construction on a process pool, one task per k.
+
+    Every k keeps its child seed ``spawn_seedseqs(seed, top)[k - 1]``
+    and a fit's bits do not depend on what shares its call, so whatever
+    order the k's are read in, each equals the eager sweep's bit for bit.
+    The mapping holds its own copy of the points until every k is
+    fitted.  Fills run under a lock; reading a fitted k takes none.
+    """
+
+    def __init__(self, points: np.ndarray, kmax: int = DEFAULT_KMAX,
+                 seed: Seed = 0, n_init: int = 8,
+                 workers: Optional[int] = None) -> None:
+        points = np.array(points, dtype=float)
+        if points.shape[0] < 1:
+            raise ClusteringError("no points to cluster")
+        top = min(kmax, points.shape[0])
+        if top < 1:
+            raise ValidationError("no k to fit")
+        self._points: Optional[np.ndarray] = points
+        self._keys = range(1, top + 1)
+        self._half = (top + 1) // 2
+        self._seeds = spawn_seedseqs(seed, top)
+        self._n_init = n_init
+        self._workers = workers
+        self._fits: Dict[int, KMeansResult] = {}
+        self._lock = threading.Lock()
+        if workers is not None and workers > 1:
+            self.fill()
+
+    def __getitem__(self, k: int) -> KMeansResult:
+        fit = self._fits.get(k)
+        if fit is None:
+            if k not in self._keys:
+                raise KeyError(k)
+            block = (self._keys[:self._half] if k <= self._half
+                     else self._keys[self._half:])
+            with self._lock:
+                missing = [j for j in block if j not in self._fits]
+                if missing:
+                    self._fit(missing)
+            fit = self._fits[k]
+        return fit
+
+    def __contains__(self, k: object) -> bool:
+        return k in self._keys
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def items(self) -> ItemsView[int, KMeansResult]:
+        return self.fill()._fits.items()
+
+    def values(self) -> ValuesView[KMeansResult]:
+        return self.fill()._fits.values()
+
+    def fill(self) -> "SweepResults":
+        """Fit every k not fitted yet, in one call; returns ``self``."""
+        if len(self._fits) < len(self._keys):
+            with self._lock:
+                missing = [k for k in self._keys if k not in self._fits]
+                if missing:
+                    self._fit(missing)
+        return self
+
+    def _fit(self, ks: List[int]) -> None:
+        """Fit ``ks`` (none fitted yet) in one call; the caller holds the lock."""
+        points, seeds = self._points, self._seeds
+        if self._workers is not None and self._workers > 1 and len(ks) > 1:
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=self._workers) as pool:
+                futures = [pool.submit(_fit_one_k, points, k, seeds[k - 1],
+                                       self._n_init) for k in ks]
+                new = dict(f.result() for f in futures)
+        else:
+            new = kmeans_sweep(points, {k: seeds[k - 1] for k in ks},
+                               n_init=self._n_init)
+        fits = {**self._fits, **new}
+        # Swapped in whole, so a reader without the lock sees either map.
+        self._fits = {k: fits[k] for k in sorted(fits)}
+        if len(fits) == len(self._keys):
+            self._points = None  # nothing left to fit
+
+    def __getstate__(self) -> dict:
+        state = self.fill().__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+    def __repr__(self) -> str:
+        return (f"SweepResults(k=1..{len(self._keys)}, "
+                f"fitted={sorted(self._fits)})")
+
+
+class _Inertias(Mapping[int, float]):
+    """Per-k WCSS of a sweep, read through it (so a lazy sweep stays lazy)."""
+
+    def __init__(self, results: Mapping[int, KMeansResult]) -> None:
+        self._results = results
+
+    def __getitem__(self, k: int) -> float:
+        return self._results[k].inertia
+
+    def __contains__(self, k: object) -> bool:
+        return k in self._results
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._results)
+
+    def __len__(self) -> int:
+        return len(self._results)
 
 
 def wcss_curve(
@@ -86,13 +228,14 @@ def wcss_curve(
     seed: Seed = 0,
     n_init: int = 8,
     workers: Optional[int] = None,
-) -> Dict[int, KMeansResult]:
+) -> SweepResults:
     """Fit k-means for k = 1..min(kmax, n_points).
 
-    The serial sweep is one :func:`~repro.core.kmeans.kmeans_sweep`
-    call.  Every k gets its own independent child seed (see
-    :func:`spawn_seedseqs`), so ``workers > 1`` — a process pool with
-    one task per k — returns bit-identical results to the serial sweep.
+    Returns the :class:`SweepResults` already filled: every k in one
+    :func:`~repro.core.kmeans.kmeans_sweep` call.  Every k gets its own
+    independent child seed (see :func:`spawn_seedseqs`), so
+    ``workers > 1`` — a process pool with one task per k — returns
+    bit-identical results to the serial sweep.
 
     .. note:: Compatibility: earlier versions threaded one shared
        ``Generator`` through the fits in ascending-k order, which made
@@ -100,21 +243,11 @@ def wcss_curve(
        a given integer seed the clusterings therefore differ from those
        versions, but they no longer depend on sweep order or schedule.
     """
-    points = np.asarray(points, dtype=float)
-    if points.shape[0] < 1:
-        raise ClusteringError("no points to cluster")
-    top = min(kmax, points.shape[0])
-    seeds = spawn_seedseqs(seed, top)
-    ks = range(1, top + 1)
-    if workers is not None and workers > 1 and top > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_fit_one_k, points, k, seeds[k - 1], n_init)
-                       for k in ks]
-            return dict(f.result() for f in futures)
-    return kmeans_sweep(points, {k: seeds[k - 1] for k in ks}, n_init=n_init)
+    return SweepResults(points, kmax=kmax, seed=seed, n_init=n_init,
+                        workers=workers).fill()
 
 
-def elbow_k(results: Dict[int, KMeansResult]) -> int:
+def elbow_k(results: Mapping[int, KMeansResult]) -> int:
     """Pick k at the elbow of the WCSS curve (max distance to chord).
 
     The curve ``(k, WCSS_k)`` is normalized to the unit square and the k
@@ -158,7 +291,7 @@ EXPLAINED_CAP = 0.97
 
 
 def variance_elbow_k(
-    results: Dict[int, KMeansResult],
+    results: Mapping[int, KMeansResult],
     threshold: float = DEFAULT_ELBOW_THRESHOLD,
     advance_ratio: float = ADVANCE_RATIO,
     explained_cap: float = EXPLAINED_CAP,
@@ -178,6 +311,9 @@ def variance_elbow_k(
     merged; the remaining-WCSS ratio exposes it.  Robust likewise when
     interval mixtures put probability mass *between* phase centroids
     (boundary intervals), which flattens the geometric chord criterion.
+
+    WCSS is read in ascending k, and at most one k past the choice, so a
+    :class:`SweepResults` fits only the k's this rule needs.
     """
     ks = sorted(results)
     total = results[ks[0]].inertia
@@ -272,7 +408,7 @@ def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _silhouette_sweep_scores(
-    points: np.ndarray, results: Dict[int, KMeansResult]
+    points: np.ndarray, results: Mapping[int, KMeansResult]
 ) -> Dict[int, float]:
     """Silhouette score per valid k of a sweep (one distance pass total)."""
     points = np.asarray(points, dtype=float)
@@ -284,7 +420,7 @@ def _silhouette_sweep_scores(
     return dict(zip(valid, scores))
 
 
-def silhouette_k(points: np.ndarray, results: Dict[int, KMeansResult]) -> int:
+def silhouette_k(points: np.ndarray, results: Mapping[int, KMeansResult]) -> int:
     """Pick the k (>= 2) maximizing mean silhouette."""
     scores = _silhouette_sweep_scores(points, results)
     best_k, best_score = None, -np.inf
@@ -307,24 +443,31 @@ def choose_k(
 ) -> KSelection:
     """Run the k sweep and select k with the requested method.
 
-    ``workers`` fans the sweep out over a process pool (one task per k)
-    without changing any result; see :func:`wcss_curve`.
+    The elbow gets the sweep unread and fits only the blocks of k it
+    reads (see :class:`SweepResults`); the k's it skipped are fitted
+    when something reads them, bit for bit as the eager sweep would
+    have.  Chord and silhouette read every k, so they take the filled
+    :func:`wcss_curve`.  ``workers`` fills the whole sweep on a process
+    pool (one task per k) without changing any result.
     """
     if method not in ("elbow", "chord", "silhouette"):
         raise ValidationError(f"unknown k-selection method {method!r}")
-    results = wcss_curve(points, kmax=kmax, seed=seed, n_init=n_init,
-                         workers=workers)
     if method == "elbow":
+        results = SweepResults(points, kmax=kmax, seed=seed, n_init=n_init,
+                               workers=workers)
         chosen = variance_elbow_k(results, threshold=threshold)
-        scores = {k: r.inertia for k, r in results.items()}
-    elif method == "chord":
-        chosen = elbow_k(results)
-        scores = {k: r.inertia for k, r in results.items()}
+        scores: Mapping[int, float] = _Inertias(results)
     else:
-        scores = _silhouette_sweep_scores(points, results)
-        chosen = 1
-        best_score = -np.inf
-        for k in sorted(scores):
-            if scores[k] > best_score:
-                chosen, best_score = k, scores[k]
+        results = wcss_curve(points, kmax=kmax, seed=seed, n_init=n_init,
+                             workers=workers)
+        if method == "chord":
+            chosen = elbow_k(results)
+            scores = _Inertias(results)
+        else:
+            scores = _silhouette_sweep_scores(points, results)
+            chosen = 1
+            best_score = -np.inf
+            for k in sorted(scores):
+                if scores[k] > best_score:
+                    chosen, best_score = k, scores[k]
     return KSelection(method=method, chosen_k=chosen, results=results, scores=scores)

@@ -90,12 +90,15 @@ def detect_phases(
     """Cluster interval features and return the phase model.
 
     This is steps 2-3 of the paper's flow: k-means for k = 1..kmax, k
-    chosen by ``method`` (elbow by default), each cluster a phase.
+    chosen by ``method`` (elbow by default), each cluster a phase.  The
+    model's ``kselection.results`` covers every k = 1..kmax; the elbow
+    fits only the k's it reads, and the rest are fitted when first read
+    (by the report's k-curve, say), bit for bit as an eager sweep would.
 
-    ``workers`` > 1 runs the k sweep on a process pool; results are
-    bit-identical to the serial sweep (per-k seeds are spawned from one
-    ``SeedSequence``), so it is a throughput knob only and deliberately
-    not part of any result-defining configuration.
+    ``workers`` > 1 fills the whole k sweep on a process pool; results
+    are bit-identical to the serial sweep (per-k seeds are spawned from
+    one ``SeedSequence``), so it is a throughput knob only and
+    deliberately not part of any result-defining configuration.
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[0] == 0:

@@ -114,6 +114,17 @@ def test_live_command(capsys):
     assert "Flat profile:" in out
 
 
+def test_live_says_why_it_skips_the_report(capsys):
+    """A run shorter than one interval gives the one exit dump: the verb
+    names the count and the remedy instead of dropping the report."""
+    assert main(["live", "--app", "minife", "--interval", "1000"]) == 0
+    out = capsys.readouterr().out
+    assert "1 live snapshots" in out
+    assert ("no phase report: 1 live snapshot(s), the report needs at "
+            "least 4; raise --scale or lower --interval") in out
+    assert "Phase ID" not in out
+
+
 def test_live_script_command(tmp_path, capsys):
     script = tmp_path / "two_loops.py"
     script.write_text(
@@ -195,6 +206,21 @@ def test_analyze_follow_needs_two_intervals(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "empty"), "--follow",
                  "--poll", "0.01", "--max-polls", "2"]) == 1
     assert "need at least 2" in capsys.readouterr().out
+
+
+def test_analyze_empty_directory_is_one_error_line(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    assert main(["analyze", str(tmp_path / "empty")]) == 1
+    out = capsys.readouterr().out
+    assert out == "error: need at least two snapshots to form an interval\n"
+
+
+def test_analyze_missing_directory_is_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["analyze", str(missing)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and str(missing) in out
+    assert out.count("\n") == 1
 
 
 def test_serve_refit_parser_flags():

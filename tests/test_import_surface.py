@@ -106,12 +106,11 @@ def test_worker_serve_loads_only_the_daemon(tmp_path):
 
 def test_cli_analyze_loads_no_service_or_fleet(tmp_path):
     loaded = repro_modules(loaded_after(f"""
+        import contextlib, io
         from repro.cli import main
-        from repro.util.errors import ProfileDataError
-        try:
-            main(["analyze", {str(tmp_path)!r}])
-        except ProfileDataError:  # an empty directory holds no interval
-            pass
+        with contextlib.redirect_stdout(io.StringIO()):
+            # An empty directory holds no interval: one error line.
+            assert main(["analyze", {str(tmp_path)!r}]) == 1
     """))
     assert "repro.core.pipeline" in loaded
     assert not {m for m in loaded if m.split(".")[1:2] in (["service"], ["fleet"])}

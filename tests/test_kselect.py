@@ -1,6 +1,9 @@
 """k selection: variance elbow, chord elbow, silhouette."""
 
 import importlib
+import random
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -13,6 +16,7 @@ from repro.core.kmeans import kmeans
 from repro.core.kselect import (
     DEFAULT_KMAX,
     KSelection,
+    SweepResults,
     choose_k,
     elbow_k,
     silhouette_k,
@@ -24,6 +28,7 @@ from repro.core.kselect import (
 from repro.util.errors import ClusteringError, ValidationError
 
 kmeans_module = importlib.import_module("repro.core.kmeans")
+kselect_module = importlib.import_module("repro.core.kselect")
 
 
 def blobs(k, n=25, spread=0.2, seed=0):
@@ -224,11 +229,11 @@ def _same_fit(a, b):
 
 
 @st.composite
-def point_sets(draw):
-    """2..300 points in 1..20 dimensions: duplicate-heavy integer grids,
-    gaussian noise, or gaussian blobs."""
-    n = draw(st.integers(2, 300))
-    d = draw(st.integers(1, 20))
+def point_sets(draw, max_n=300, max_d=20):
+    """2..max_n points in 1..max_d dimensions: duplicate-heavy integer
+    grids, gaussian noise, or gaussian blobs."""
+    n = draw(st.integers(2, max_n))
+    d = draw(st.integers(1, max_d))
     kind = draw(st.sampled_from(("grid", "noise", "blobs")))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "grid":
@@ -257,6 +262,130 @@ def test_lone_k_equals_any_sweep_and_any_chunking(points, seed):
                                  reference[k])
                 assert _same_fit(wcss_curve(points, kmax=k, seed=seed)[k],
                                  reference[k])
+
+
+# ----------------------------------------------------------------------
+# the lazy sweep: each k fitted on first read, bit for bit the eager one
+# ----------------------------------------------------------------------
+def _select_eager(points, method, eager):
+    if method == "elbow":
+        return variance_elbow_k(eager)
+    if method == "chord":
+        return elbow_k(eager)
+    return silhouette_k(points, eager)
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=point_sets(max_n=150, max_d=12), seed=st.integers(0, 2 ** 32 - 1),
+       kmax=st.integers(1, 8), data=st.data())
+def test_lazy_sweep_equals_eager_in_any_read_order(points, seed, kmax, data):
+    """``choose_k`` picks what selection over the eager ``wcss_curve``
+    picks, and every k of its sweep, read in any order, is the eager
+    sweep's k bit for bit."""
+    eager = wcss_curve(points, kmax=kmax, seed=seed)
+    top = len(eager)
+    for method in ("elbow", "chord", "silhouette"):
+        selection = choose_k(points, kmax=kmax, method=method, seed=seed)
+        assert selection.chosen_k == _select_eager(points, method, eager)
+        results = selection.results
+        assert len(results) == top and list(results) == list(range(1, top + 1))
+        order = data.draw(st.sampled_from(("ascending", "descending", "shuffled")))
+        ks = list(range(1, top + 1))
+        if order == "descending":
+            ks.reverse()
+        elif order == "shuffled":
+            ks = data.draw(st.permutations(ks))
+        for k in ks:
+            assert _same_fit(results[k], eager[k])
+        if method != "silhouette":
+            assert dict(selection.scores) == {k: eager[k].inertia for k in eager}
+
+
+class _CountingSweep:
+    """Stands in for ``kmeans_sweep`` in kselect and records the k's of
+    each call."""
+
+    def __init__(self):
+        self.calls = []
+        self._sweep = kselect_module.kmeans_sweep
+
+    def __call__(self, points, seeds_by_k, n_init):
+        self.calls.append(sorted(seeds_by_k))
+        return self._sweep(points, seeds_by_k, n_init=n_init)
+
+
+def test_elbow_fits_only_the_first_block(monkeypatch):
+    points = blobs(3, seed=2)
+    counter = _CountingSweep()
+    monkeypatch.setattr(kselect_module, "kmeans_sweep", counter)
+    selection = choose_k(points, method="elbow", seed=0)
+    assert selection.chosen_k == 3
+    assert counter.calls == [[1, 2, 3, 4]]
+
+    results = selection.results
+    assert len(results) == 8 and list(results) == list(range(1, 9))
+    assert 5 in results and 8 in results
+    assert 0 not in results and 9 not in results and "k" not in results
+    assert len(selection.scores) == 8 and 8 in selection.scores
+    assert counter.calls == [[1, 2, 3, 4]]
+
+    curve = [selection.scores[k] for k in selection.scores]  # the k-curve
+    assert counter.calls == [[1, 2, 3, 4], [5, 6, 7, 8]]
+    results.fill()  # nothing left to fit
+    assert len(counter.calls) == 2
+    assert curve == [r.inertia for r in wcss_curve(points, seed=0).values()]
+
+
+def test_sweep_blocks_split_at_half_of_top(monkeypatch):
+    counter = _CountingSweep()
+    monkeypatch.setattr(kselect_module, "kmeans_sweep", counter)
+    rng = np.random.default_rng(3)
+    lazy = SweepResults(rng.normal(size=(5, 2)), kmax=8, seed=1)  # top 5
+    lazy[5]
+    lazy[2]
+    lazy[4]
+    assert counter.calls == [[4, 5], [1, 2, 3]]
+    one = SweepResults(rng.normal(size=(9, 2)), kmax=1, seed=1)
+    assert list(one) == [1] and one[1].k == 1
+    with pytest.raises(KeyError):
+        one[2]
+    assert counter.calls[2:] == [[1]]
+    with pytest.raises(ValidationError):
+        SweepResults(rng.normal(size=(9, 2)), kmax=0)
+
+
+def test_concurrent_first_reads_fit_each_block_once(monkeypatch):
+    """Threads racing on a fresh sweep each get the eager fits, and no
+    block is fitted twice."""
+    points = blobs(4, n=30, seed=6)
+    eager = wcss_curve(points, seed=5)
+    counter = _CountingSweep()
+    monkeypatch.setattr(kselect_module, "kmeans_sweep", counter)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(5):
+            lazy = SweepResults(points, seed=5)
+            mismatches = []
+
+            def reader(index):
+                ks = list(range(1, 9))
+                random.Random(round_ * 100 + index).shuffle(ks)
+                for k in ks:
+                    if not _same_fit(lazy[k], eager[k]):
+                        mismatches.append(k)
+
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert mismatches == []
+            assert sorted(counter.calls) == [[1, 2, 3, 4], [5, 6, 7, 8]]
+            counter.calls.clear()
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_bounded_resweep_equals_per_candidate_fits(monkeypatch):
